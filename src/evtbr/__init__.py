@@ -26,7 +26,6 @@ from .events import (
     SensorGeometry,
     SlicingConfig,
     ValidationReport,
-    chunk_stream,
     merge_sorted_by_time,
     slice_stream,
     validate_stream,
@@ -67,7 +66,7 @@ from .noise import (
     merge_noise_recording,
     noise_only_stream,
 )
-from .synth import SceneKind, SynthScene, generate, ideal_tbr
+from .synth import SceneKind, SynthScene, generate
 
 __version__ = "0.1.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "SensorGeometry",
     "SlicingConfig",
     "ValidationReport",
-    "chunk_stream",
     "merge_sorted_by_time",
     "slice_stream",
     "validate_stream",
@@ -123,5 +121,4 @@ __all__ = [
     "SceneKind",
     "SynthScene",
     "generate",
-    "ideal_tbr",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderConfig, EncoderMode, encode_stream
-from .events import EVENT_DTYPE, EventStream, SensorGeometry, SlicingConfig
+from .events import EventStream, SensorGeometry, SlicingConfig
 from .neurons import NeuronConfig, NeuronVariant
 
 
@@ -40,12 +40,11 @@ def random_stream(
 ) -> EventStream:
     """Uniform random events over [0, duration), sorted by time."""
     rng = np.random.default_rng(seed)
-    events = np.empty(n_events, dtype=EVENT_DTYPE)
-    events["t"] = np.sort(rng.integers(0, duration, size=n_events, dtype=np.int64))
-    events["x"] = rng.integers(0, geometry.width, size=n_events, dtype=np.int32)
-    events["y"] = rng.integers(0, geometry.height, size=n_events, dtype=np.int32)
-    events["p"] = rng.integers(0, 2, size=n_events, dtype=np.int8) * 2 - 1
-    return EventStream(geometry, events)
+    t = np.sort(rng.integers(0, duration, size=n_events, dtype=np.int64))
+    x = rng.integers(0, geometry.width, size=n_events, dtype=np.int32)
+    y = rng.integers(0, geometry.height, size=n_events, dtype=np.int32)
+    p = rng.integers(0, 2, size=n_events, dtype=np.int8) * 2 - 1
+    return EventStream.from_arrays(geometry, t, x, y, p)
 
 
 def default_bench_config() -> EncoderConfig:

@@ -18,6 +18,10 @@ Membrane state persists across the slices of a window and, by default,
 across the consecutive windows of one recording; it is cleared only by an
 explicit :meth:`NeuronGrid.reset`. Each slice may be subdivided into K
 micro steps (K = 1 by default) for finer integration granularity.
+
+Both modes share one window loop, :func:`encode_stream`. It locates the
+window bounds once per stream, with one search over all window edges, and
+hands each window only its own events as a zero-copy slice.
 """
 
 from __future__ import annotations
@@ -158,37 +162,21 @@ def encode_window_spike_tbr(
     n = slicing.bits_per_frame
     k = cfg.micro_steps_per_slice
     micro_dt = slicing.slice_duration // k
-    window_end = window_start + slicing.window_duration
-    if window_start < 0 or window_end > INT64_MAX:
+    if window_start < 0 or window_start + slicing.window_duration > INT64_MAX:
         raise ValueError("window outside representable microsecond range")
 
-    geometry = stream.geometry
-    t = stream.t
-    lo = int(np.searchsorted(t, window_start, side="left"))
-    hi = int(np.searchsorted(t, window_end, side="left"))
-    # Micro-step boundaries across the whole window, located once.
-    edges = window_start + micro_dt * np.arange(1, n * k, dtype=np.int64)
-    splits = lo + np.searchsorted(t[lo:hi], edges, side="left")
-    starts = np.concatenate(([lo], splits))
-    stops = np.concatenate((splits, [hi]))
-
-    ncfg = grid.config
-    w_window = np.where(stream.p[lo:hi] > 0, ncfg.weight_pos, ncfg.weight_neg)
-    flat_window = (
-        stream.y[lo:hi].astype(np.int64) * geometry.width + stream.x[lo:hi].astype(np.int64)
-    )
+    # Bounds of all N*K micro steps, located with one search.
+    edges = window_start + micro_dt * np.arange(n * k + 1, dtype=np.int64)
+    bounds = np.searchsorted(stream.t, edges, side="left").tolist()
+    geometry, x, y, p = stream.geometry, stream.x, stream.y, stream.p
 
     bits = np.zeros((n, *geometry.shape), dtype=np.bool_)
     for i in range(n):
-        micro_inputs = []
-        for j in range(k):
-            m = i * k + j
-            a, b = int(starts[m]) - lo, int(stops[m]) - lo
-            values = np.bincount(
-                flat_window[a:b], weights=w_window[a:b], minlength=geometry.pixel_count
-            ).reshape(geometry.shape)
-            micro_inputs.append(StepInput(values, b - a))
-        bits[i] = grid.spike_window(micro_inputs)
+        steps = zip(bounds[i * k : (i + 1) * k], bounds[i * k + 1 : (i + 1) * k + 1])
+        bits[i] = grid.spike_window(
+            StepInput.from_events(geometry, x[a:b], y[a:b], p[a:b], grid.config)
+            for a, b in steps
+        )
     return encode_tbr(BinarySliceStack(geometry, bits, window_start))
 
 
@@ -205,21 +193,28 @@ def encode_stream(
     a fresh grid is created unless one is passed in, and its membrane state
     carries across windows.
     """
+    duration = cfg.slicing.window_duration
     if n_windows is None:
         if len(stream) == 0:
             return []
-        n_windows = stream.last_t // cfg.slicing.window_duration + 1
+        n_windows = stream.last_t // duration + 1
+    n_windows = int(n_windows)
+    if n_windows * duration > INT64_MAX:
+        raise ValueError("window outside representable microsecond range")
 
     if cfg.mode is EncoderMode.SPIKE_TBR and grid is None:
         grid = NeuronGrid(stream.geometry, cfg.neuron)
 
+    edges = np.arange(n_windows + 1, dtype=np.int64) * duration
+    bounds = np.searchsorted(stream.t, edges, side="left").tolist()
     frames = []
     for w in range(n_windows):
-        start = w * cfg.slicing.window_duration
+        window = EventStream(stream.geometry, stream.events[bounds[w] : bounds[w + 1]])
+        start = w * duration
         if cfg.mode is EncoderMode.TBR:
-            frames.append(encode_window_tbr(stream, cfg, start))
+            frames.append(encode_window_tbr(window, cfg, start))
         else:
-            frames.append(encode_window_spike_tbr(stream, cfg, grid, start))
+            frames.append(encode_window_spike_tbr(window, cfg, grid, start))
     return frames
 
 

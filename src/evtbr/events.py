@@ -2,14 +2,11 @@
 
 An event camera reports a stream of (x, y, t, p) tuples: pixel coordinates,
 a microsecond timestamp and a polarity sign. This module defines the stream
-container plus the two time partitions everything else is built on:
+container plus the time partition everything else is built on:
+``slice_stream`` cuts one accumulation window of length ``N * dt`` into N
+binary frames, one bit per pixel per slice (polarity is ignored).
 
-- ``slice_stream``: cut one accumulation window of length ``N * dt`` into N
-  binary frames, one bit per pixel per slice (polarity is ignored).
-- ``chunk_stream``: split a long recording into fixed-length chunks that are
-  treated as independent samples downstream.
-
-Timestamps are integer microseconds throughout. Slice and chunk intervals
+Timestamps are integer microseconds throughout. Slice and window intervals
 are half-open ``[start, start + dt)`` so every event lands in exactly one
 bin; an event exactly on a boundary belongs to the next bin.
 """
@@ -85,6 +82,10 @@ class EventStream:
 
     @classmethod
     def from_arrays(cls, geometry: SensorGeometry, t, x, y, p) -> "EventStream":
+        """Build a stream from four equal-length columns, preserving order.
+
+        The one place that fills EVENT_DTYPE records from columns.
+        """
         arr = np.empty(len(t), dtype=EVENT_DTYPE)
         arr["t"] = t
         arr["x"] = x
@@ -249,35 +250,6 @@ def slice_stream(stream: EventStream, cfg: SlicingConfig, window_start: int) -> 
     return BinarySliceStack(stream.geometry, stack, window_start)
 
 
-def chunk_stream(stream: EventStream, chunk_len: int) -> list[EventStream]:
-    """Partition a stream into consecutive chunks of ``chunk_len`` µs.
-
-    The chunk grid starts at t=0; chunk k covers ``[k*chunk_len,
-    (k+1)*chunk_len)``. Every chunk up to and including the one holding the
-    last event is returned (interior empty chunks included), and timestamps
-    within each chunk are re-based to the chunk start. An empty stream
-    yields an empty list.
-    """
-    if chunk_len <= 0:
-        raise ValueError(f"chunk_len must be positive, got {chunk_len}")
-    if len(stream) == 0:
-        return []
-
-    t = stream.t
-    n_chunks = int(t[-1]) // chunk_len + 1
-    bounds = np.arange(1, n_chunks + 1, dtype=np.int64) * chunk_len
-    splits = np.searchsorted(t, bounds, side="left")
-    chunks: list[EventStream] = []
-    start_idx = 0
-    for k in range(n_chunks):
-        end_idx = int(splits[k])
-        part = stream.events[start_idx:end_idx].copy()
-        part["t"] -= k * chunk_len
-        chunks.append(EventStream(stream.geometry, part))
-        start_idx = end_idx
-    return chunks
-
-
 def merge_sorted_by_time(
     geometry: SensorGeometry, *parts: "EventStream | np.ndarray"
 ) -> EventStream:
@@ -292,10 +264,6 @@ def merge_sorted_by_time(
     return EventStream(geometry, merged[order])
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 __all__ = [
     "EVENT_DTYPE",
     "Event",
@@ -306,7 +274,5 @@ __all__ = [
     "ValidationReport",
     "validate_stream",
     "slice_stream",
-    "chunk_stream",
     "merge_sorted_by_time",
-    "ceil_div",
 ]

@@ -2,12 +2,12 @@
 
 Event formats
   text-csv   header line ``t_us,x,y,p``, one event per line as decimal
-             integers, LF endings. Carries no geometry: the reader takes it
-             from the caller.
+             integers, LF endings, timestamps never decreasing. Carries
+             no geometry: the reader takes it from the caller.
   binary-v1  magic ``EVS1``, little-endian u32 width and u32 height
              (12-byte header), then 13-byte records of little-endian
              u64 t_us, u16 x, u16 y, signed 8-bit p. Record k starts at
-             byte 12 + 13*k.
+             byte 12 + 13*k; timestamps never decrease.
 
 Frame format
   PGM (P5) with maxval 2**N - 1. One byte per pixel for maxval <= 255,
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncodedFrame
-from .events import EVENT_DTYPE, EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry
 
 BINARY_MAGIC = b"EVS1"
 BINARY_HEADER_LEN = 12
@@ -62,7 +62,10 @@ def read_events(
     fmt: EventFileFormat,
     geometry: SensorGeometry | None = None,
 ) -> EventStream:
-    """Read an event stream, validating polarity and geometry bounds.
+    """Read an event stream, validating polarity, geometry bounds and time order.
+
+    Timestamps must never decrease from one event to the next; the first
+    event that goes back in time is reported by its byte or line offset.
 
     ``geometry`` is required for text-csv (the format has no header for
     it) and ignored for binary-v1, which carries its own.
@@ -108,6 +111,7 @@ def _read_csv(path: Path, geometry: SensorGeometry) -> EventStream:
         raise EventFileError(f"{path}: line 1: expected header '{CSV_HEADER}'")
 
     rows = []
+    prev_t = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -126,10 +130,17 @@ def _read_csv(path: Path, geometry: SensorGeometry) -> EventStream:
             )
         if t < 0:
             raise EventFileError(f"{path}: line {lineno}: negative timestamp {t}")
+        if t > _INT64_MAX:
+            raise EventFileError(f"{path}: line {lineno}: timestamp exceeds 2^63 - 1 microseconds")
+        if t < prev_t:
+            raise EventFileError(
+                f"{path}: line {lineno}: timestamp {t} is earlier than the previous event's {prev_t}"
+            )
+        prev_t = t
         rows.append((t, x, y, p))
 
-    arr = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
-    return EventStream(geometry, arr)
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return EventStream.from_arrays(geometry, *columns)
 
 
 def _read_binary(path: Path) -> EventStream:
@@ -172,13 +183,16 @@ def _read_binary(path: Path) -> EventStream:
     if too_big.size:
         k = int(too_big[0])
         raise EventFileError(f"{path}: byte {record_offset(k)}: timestamp exceeds 2^63 - 1 microseconds")
+    t = records["t"]
+    backwards = np.nonzero(t[1:] < t[:-1])[0]
+    if backwards.size:
+        k = int(backwards[0]) + 1
+        raise EventFileError(
+            f"{path}: byte {record_offset(k)}: timestamp {int(t[k])} is earlier than "
+            f"the previous record's {int(t[k - 1])}"
+        )
 
-    arr = np.empty(len(records), dtype=EVENT_DTYPE)
-    arr["t"] = records["t"].astype(np.int64)
-    arr["x"] = records["x"]
-    arr["y"] = records["y"]
-    arr["p"] = records["p"]
-    return EventStream(geometry, arr)
+    return EventStream.from_arrays(geometry, t, records["x"], records["y"], records["p"])
 
 
 def write_frame(frame: EncodedFrame, path: str | Path) -> None:

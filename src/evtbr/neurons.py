@@ -152,15 +152,9 @@ class NeuronGrid:
         cfg = self.config
         v = self.v
 
-        # Leak toward rest before integrating: the input arriving in this
-        # step is taken at full strength.
-        if cfg.v_rest == 0.0:
-            v *= cfg.beta
-        else:
-            v -= cfg.v_rest
-            v *= cfg.beta
-            v += cfg.v_rest
-
+        # Leak before integrating: the input arriving in this step is taken
+        # at full strength.
+        self._leak()
         v += inp.values
         self.ac_count += inp.event_count
 
@@ -205,15 +199,19 @@ class NeuronGrid:
         """
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
-        cfg = self.config
         for _ in range(steps):
-            if cfg.v_rest == 0.0:
-                self.v *= cfg.beta
-            else:
-                self.v -= cfg.v_rest
-                self.v *= cfg.beta
-                self.v += cfg.v_rest
+            self._leak()
         return self
+
+    def _leak(self) -> None:
+        """Decay every membrane one step toward v_rest, in place."""
+        cfg = self.config
+        if cfg.v_rest == 0.0:
+            self.v *= cfg.beta
+        else:
+            self.v -= cfg.v_rest
+            self.v *= cfg.beta
+            self.v += cfg.v_rest
 
     def reset(self) -> None:
         """Return every membrane to rest and clear pending feedback."""

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .events import EVENT_DTYPE, EventStream, SensorGeometry, merge_sorted_by_time
+from .events import EventStream, SensorGeometry, merge_sorted_by_time
 
 # Keeps noise draws decorrelated from any other seeded subsystem that might
 # share the user-facing seed value.
@@ -67,21 +67,17 @@ def _draw_slice(
     u = rng.random(geometry.pixel_count)
     fired = np.nonzero(u < cfg.probability)[0]
     n = fired.size
-    if n == 0:
-        return np.empty(0, dtype=EVENT_DTYPE)
     ts = rng.integers(start, end, size=n, dtype=np.int64)
     if cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM:
         pol = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
     else:
         pol = np.ones(n, dtype=np.int8)
 
-    out = np.empty(n, dtype=EVENT_DTYPE)
     order = np.argsort(ts, kind="stable")
-    out["t"] = ts[order]
-    out["x"] = (fired[order] % geometry.width).astype(np.int32)
-    out["y"] = (fired[order] // geometry.width).astype(np.int32)
-    out["p"] = pol[order]
-    return out
+    pixels = fired[order]
+    return EventStream.from_arrays(
+        geometry, ts[order], pixels % geometry.width, pixels // geometry.width, pol[order]
+    ).events
 
 
 def default_span(stream: EventStream, slice_duration: int) -> tuple[int, int]:
@@ -152,8 +148,11 @@ def merge_noise_recording(
 
     Noise coordinates are rescaled to the target geometry by nearest-pixel
     mapping (x' = x * W_target // W_noise), its start is aligned to the
-    signal's first event, and the recording is tiled end to end until it
-    covers the signal, then truncated at the signal's last event.
+    signal's first event, and the recording is tiled end to end, one copy
+    every (last - first noise timestamp) µs, until it covers the signal,
+    then truncated at the signal's last event. A recording whose events all
+    share one timestamp has no period to tile with: it is laid over the
+    signal once, at the signal's first event.
     """
     if signal.geometry != target_geometry:
         raise ValueError(
@@ -170,24 +169,20 @@ def merge_noise_recording(
     sig_start = int(signal.t[0])
     sig_end = int(signal.t[-1])
     noise_t = noise.t.astype(np.int64) - int(noise.t[0])
-    period = max(int(noise_t[-1]), 1)
+    period = int(noise_t[-1])
+    n_copies = (sig_end - sig_start) // period + 1 if period > 0 else 1
 
-    copies = []
-    offset = 0
-    while sig_start + offset <= sig_end:
-        shifted = noise_t + sig_start + offset
-        keep = shifted <= sig_end
-        if not keep.any():
-            break
-        part = np.empty(int(keep.sum()), dtype=EVENT_DTYPE)
-        part["t"] = shifted[keep]
-        part["x"] = nx[keep].astype(np.int32)
-        part["y"] = ny[keep].astype(np.int32)
-        part["p"] = noise.p[keep]
-        copies.append(part)
-        offset += period
-
-    overlay = EventStream(target_geometry, np.concatenate(copies))
+    # Copy-major: every event of copy c, in recording order, before copy c+1.
+    offsets = sig_start + period * np.arange(n_copies, dtype=np.int64)
+    shifted = (offsets[:, None] + noise_t).ravel()
+    keep = shifted <= sig_end
+    overlay = EventStream.from_arrays(
+        target_geometry,
+        shifted[keep],
+        np.tile(nx, n_copies)[keep],
+        np.tile(ny, n_copies)[keep],
+        np.tile(noise.p, n_copies)[keep],
+    )
     return merge_sorted_by_time(target_geometry, signal, overlay)
 
 

@@ -22,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .encoder import EncodedFrame, EncoderConfig, encode_stream
-from .events import EVENT_DTYPE, EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry, merge_sorted_by_time
 
 SYNTH_DOMAIN_TAG = 0x5359
 
@@ -163,9 +162,6 @@ def _validate_scene(scene: SynthScene) -> None:
 def generate(scene: SynthScene) -> EventStream:
     """Generate the scene's event stream, sorted by timestamp."""
     _validate_scene(scene)
-    if scene.duration == 0:
-        return EventStream.empty(scene.geometry)
-
     period = scene.emission_period
     rate = scene.events_per_edge_pixel_per_slice
     n_slices = math.ceil(scene.duration / period)
@@ -182,25 +178,16 @@ def generate(scene: SynthScene) -> EventStream:
         if total == 0:
             continue
         ts = rng.integers(start, end, size=total, dtype=np.int64)
-        part = np.empty(total, dtype=EVENT_DTYPE)
-        part["t"] = ts
-        part["x"] = np.repeat(xs, counts).astype(np.int32)
-        part["y"] = np.repeat(ys, counts).astype(np.int32)
-        part["p"] = np.repeat(ps, counts)
-        parts.append(part)
-
-    if not parts:
-        return EventStream.empty(scene.geometry)
-    events = np.concatenate(parts)
-    events = events[np.argsort(events["t"], kind="stable")]
-    return EventStream(scene.geometry, events)
-
-
-def ideal_tbr(
-    scene: SynthScene, cfg: EncoderConfig, n_windows: int | None = None
-) -> list[EncodedFrame]:
-    """Clean-reference encoding: encode_stream over the generated stream."""
-    return encode_stream(generate(scene), cfg, n_windows=n_windows)
+        parts.append(
+            EventStream.from_arrays(
+                scene.geometry,
+                ts,
+                np.repeat(xs, counts),
+                np.repeat(ys, counts),
+                np.repeat(ps, counts),
+            )
+        )
+    return merge_sorted_by_time(scene.geometry, *parts)
 
 
 __all__ = [
@@ -208,5 +195,4 @@ __all__ = [
     "SynthScene",
     "SYNTH_DOMAIN_TAG",
     "generate",
-    "ideal_tbr",
 ]

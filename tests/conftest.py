@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
+
+import evtbr
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -7,6 +12,12 @@ settings.load_profile("suite")
 
 def pytest_configure(config):
     config._gate_lines = []
+    # CLI tests run ``python -m evtbr.cli`` in a child process; it must import
+    # the evtbr under test, whether installed or found through sys.path.
+    package_root = str(Path(evtbr.__file__).resolve().parents[1])
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )
 
 
 @pytest.fixture

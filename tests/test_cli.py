@@ -5,7 +5,10 @@ import sys
 import pytest
 
 from evtbr.cli import main
-from evtbr.io import EventFileFormat, read_events
+from evtbr.events import SensorGeometry
+from evtbr.io import EventFileFormat, read_events, write_events
+
+from helpers import make_stream
 
 SMALL_SYNTH = [
     "synth", "--kind", "moving-bar", "--size", "32x32",
@@ -117,6 +120,21 @@ class TestEncode:
         argv = ["encode", "--in", str(tmp_path / "nope.bin"), "--out-dir", str(tmp_path / "d")]
         assert run(argv) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["tbr", "spike-tbr"])
+    @pytest.mark.parametrize(
+        "name,fmt,where",
+        [("ev.bin", EventFileFormat.BINARY_V1, "byte 38"), ("ev.csv", EventFileFormat.TEXT_CSV, "line 4")],
+    )
+    def test_out_of_order_input_is_data_error(self, tmp_path, capsys, mode, name, fmt, where):
+        rows = [(30_000, 1, 1, 1), (30_000, 1, 1, 1), (0, 2, 2, 1), (2_600, 2, 2, 1)]
+        f = tmp_path / name
+        write_events(make_stream(SensorGeometry(4, 4), rows), f, fmt)
+        out_dir = tmp_path / "d"
+        argv = ["encode", "--in", str(f), "--out-dir", str(out_dir), "--size", "4x4"]
+        assert run(argv + ["--mode", mode]) == 1
+        assert where in capsys.readouterr().err
+        assert not list(out_dir.glob("*.pgm"))
 
     def test_bad_micro_steps_is_data_error(self, tmp_path, capsys):
         stream_file = synth_file(tmp_path)

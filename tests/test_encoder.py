@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtbr.encoder import (
@@ -17,6 +17,7 @@ from evtbr.events import BinarySliceStack, EventStream, SensorGeometry, SlicingC
 from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant
 
 from helpers import make_stream, random_stack, random_stream
+from reference import reference_encode
 
 G = SensorGeometry(4, 4)
 SLICING = SlicingConfig(slice_duration=2_500, bits_per_frame=8)
@@ -307,6 +308,73 @@ class TestEncodeStream:
             window = EventStream(G, stream.events[mask])
             solo = encode_window_tbr(window, CFG_TBR, start)
             assert frame == solo
+
+    def test_last_window_past_int64_is_rejected(self):
+        stream = make_stream(G, [(0, 1, 1, 1)])
+        n_windows = np.iinfo(np.int64).max // SLICING.window_duration + 1
+        with pytest.raises(ValueError, match="representable"):
+            encode_stream(stream, CFG_TBR, n_windows=n_windows)
+
+
+@st.composite
+def reference_cases(draw):
+    """A small sorted stream and encoder config, with events on micro-step edges."""
+    k = draw(st.sampled_from([1, 2, 4]))
+    slicing = SlicingConfig(4 * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    micro_dt = slicing.slice_duration // k
+    n_steps = 3 * slicing.bits_per_frame * k
+    geometry = SensorGeometry(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    t = st.one_of(
+        st.integers(0, n_steps * micro_dt),
+        st.integers(0, n_steps).map(lambda m: m * micro_dt),
+    )
+    event = st.tuples(
+        t,
+        st.integers(0, geometry.width - 1),
+        st.integers(0, geometry.height - 1),
+        st.sampled_from([1, -1]),
+    )
+    rows = sorted(draw(st.lists(event, max_size=40)), key=lambda row: row[0])
+
+    variant = draw(st.sampled_from([None, *NeuronVariant]))
+    if variant is None:
+        cfg = EncoderConfig(slicing=slicing, micro_steps_per_slice=k)
+    else:
+        if variant is NeuronVariant.PLIF:
+            rate = {"tau_m": draw(st.sampled_from([1.5, 2.0, 5.0]))}
+        else:
+            rate = {"beta": draw(st.sampled_from([0.3, 0.5, 0.8, 1.0]))}
+        neuron = NeuronConfig(
+            variant=variant,
+            v_th=draw(st.sampled_from([0.9, 1.1, 1.6])),
+            v_rest=draw(st.sampled_from([0.0, 0.3, -0.2])),
+            weight_pos=draw(st.sampled_from([1.0, 0.7])),
+            weight_neg=draw(st.sampled_from([1.0, 0.45, 1.3])),
+            **rate,
+        )
+        cfg = EncoderConfig(
+            slicing=slicing,
+            mode=EncoderMode.SPIKE_TBR,
+            neuron=neuron,
+            micro_steps_per_slice=k,
+        )
+    # The default window count for these streams is 0 to 4.
+    n_windows = draw(st.sampled_from([None, 0, 1, 2, 5]))
+    return make_stream(geometry, rows), cfg, n_windows
+
+
+class TestReferenceEncoder:
+    @settings(max_examples=300)
+    @given(reference_cases())
+    def test_encode_stream_matches_per_event_reference(self, case):
+        stream, cfg, n_windows = case
+        frames = encode_stream(stream, cfg, n_windows=n_windows)
+        if n_windows is None:
+            n_windows = 0 if len(stream) == 0 else stream.last_t // cfg.slicing.window_duration + 1
+        assert len(frames) == n_windows
+        assert [f.codes.tolist() for f in frames] == reference_encode(
+            stream.events.tolist(), stream.geometry, cfg, n_windows
+        )
 
 
 class TestEncoderConfig:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from evtbr.events import (
     EVENT_DTYPE,
@@ -10,7 +8,6 @@ from evtbr.events import (
     EventStream,
     SensorGeometry,
     SlicingConfig,
-    chunk_stream,
     merge_sorted_by_time,
     slice_stream,
     validate_stream,
@@ -157,52 +154,6 @@ class TestSliceStream:
         for ev in s:
             i = ev.t // DT.slice_duration
             assert stack.slices[i, ev.y, ev.x]
-
-
-class TestChunkStream:
-    def test_two_chunks_of_500ms(self):
-        s = random_stream(SensorGeometry(8, 8), 1000, 1_000_000, seed=1)
-        chunks = chunk_stream(s, 500_000)
-        assert len(chunks) == 2
-        for chunk in chunks:
-            assert len(chunk) == 0 or 0 <= chunk.first_t <= chunk.last_t < 500_000
-        assert sum(len(c) for c in chunks) == len(s)
-
-    def test_empty_stream(self):
-        assert chunk_stream(EventStream.empty(G44), 500_000) == []
-
-    def test_single_chunk_rebased_identity(self):
-        s = make_stream(G44, [(100, 0, 0, 1), (400, 1, 1, -1)])
-        chunks = chunk_stream(s, 1000)
-        assert len(chunks) == 1
-        assert chunks[0] == s
-
-    def test_interior_empty_chunk_included(self):
-        s = make_stream(G44, [(0, 0, 0, 1), (1_200_000, 1, 1, 1)])
-        chunks = chunk_stream(s, 500_000)
-        assert len(chunks) == 3
-        assert len(chunks[1]) == 0
-        assert chunks[2].first_t == 200_000
-
-    def test_concatenation_recovers_multiset(self):
-        s = random_stream(SensorGeometry(8, 8), 500, 900_000, seed=2)
-        chunks = chunk_stream(s, 250_000)
-        rebuilt = []
-        for k, chunk in enumerate(chunks):
-            part = chunk.events.copy()
-            part["t"] += k * 250_000
-            rebuilt.append(part)
-        assert np.array_equal(np.concatenate(rebuilt), s.events)
-
-    def test_rejects_nonpositive_chunk_len(self):
-        with pytest.raises(ValueError):
-            chunk_stream(EventStream.empty(G44), 0)
-
-    @given(st.integers(1, 50), st.integers(1, 10_000))
-    def test_chunk_count_matches_last_timestamp(self, n_events, chunk_len):
-        s = random_stream(SensorGeometry(4, 4), n_events, 40_000, seed=n_events)
-        chunks = chunk_stream(s, chunk_len)
-        assert len(chunks) == s.last_t // chunk_len + 1
 
 
 class TestMergeSortedByTime:

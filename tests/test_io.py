@@ -93,6 +93,18 @@ class TestCsvRead:
         with pytest.raises(EventFileError, match="line 2.*negative"):
             read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
 
+    def test_timestamp_above_int64_rejected(self, tmp_path):
+        f = tmp_path / "ev.csv"
+        f.write_text(f"t_us,x,y,p\n{2**63},0,0,1\n")
+        with pytest.raises(EventFileError, match="line 2.*2\\^63"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
+    def test_out_of_order_names_line(self, tmp_path):
+        f = tmp_path / "ev.csv"
+        f.write_text("t_us,x,y,p\n30000,1,1,1\n30000,1,1,1\n\n0,0,0,1\n")
+        with pytest.raises(EventFileError, match="line 5.*earlier"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
 
 class TestCsvWrite:
     def test_exact_bytes(self, tmp_path):
@@ -186,6 +198,17 @@ class TestBinaryRead:
         f = tmp_path / "ev.bin"
         f.write_bytes(binary_header() + binary_record(2**63, 0, 0, 1))
         with pytest.raises(EventFileError, match="byte 12.*2\\^63"):
+            read_events(f, EventFileFormat.BINARY_V1)
+
+    def test_out_of_order_names_record_offset(self, tmp_path):
+        f = tmp_path / "ev.bin"
+        f.write_bytes(
+            binary_header()
+            + binary_record(30_000, 1, 1, 1)
+            + binary_record(30_000, 1, 1, 1)
+            + binary_record(0, 0, 0, 1)
+        )
+        with pytest.raises(EventFileError, match=f"byte {12 + 2 * 13}.*earlier"):
             read_events(f, EventFileFormat.BINARY_V1)
 
 

@@ -218,6 +218,13 @@ class TestMergeNoiseRecording:
         assert len(added_t) >= 10
         assert (added_t % 5_000 == 0).all()
 
+    def test_single_timestamp_recording_laid_over_once(self):
+        signal = make_stream(G, [(1_000, 0, 0, 1), (21_000, 0, 3, 1)])
+        noise = make_stream(G, [(500, 1, 1, 1), (500, 2, 2, -1)])
+        merged = merge_noise_recording(signal, noise, G)
+        assert len(merged) == len(signal) + 2
+        assert list(merged.events[merged.x != 0]["t"]) == [1_000, 1_000]
+
     def test_truncated_at_signal_end(self):
         signal = make_stream(G, [(0, 0, 0, 1), (7_000, 3, 3, 1)])
         noise = make_stream(G, [(0, 1, 1, 1), (5_000, 2, 2, 1)])
