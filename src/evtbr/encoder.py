@@ -22,6 +22,12 @@ micro steps (K = 1 by default) for finer integration granularity.
 Both modes share one window loop, :func:`encode_stream`. It locates the
 window bounds once per stream, with one search over all window edges, and
 hands each window only its own events as a zero-copy slice.
+
+No slice stack is built on the encode path: each window ORs its bits into
+one preallocated uint32 code array in place, per event in plain mode and
+per slice of spike frames in spike mode. :func:`encode_tbr` and
+:func:`decode_tbr` remain the lossless conversion between a
+:class:`BinarySliceStack` and its codes.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from enum import Enum
 
 import numpy as np
 
+# slice_stream is not called here; it stays reachable as
+# evtbr.encoder.slice_stream, the name perfbench/spans.py wraps.
 from .events import (
     INT64_MAX,
     BinarySliceStack,
@@ -123,8 +131,9 @@ def encode_tbr(stack: BinarySliceStack) -> EncodedFrame:
     most significant bit.
     """
     n = stack.n_slices
-    weights = (np.uint32(1) << np.arange(n, dtype=np.uint32))[:, None, None]
-    codes = (stack.slices.astype(np.uint32) * weights).sum(axis=0, dtype=np.uint32)
+    codes = np.zeros(stack.geometry.shape, dtype=np.uint32)
+    for i in range(n):
+        codes |= stack.slices[i].astype(np.uint32) << np.uint32(i)
     return EncodedFrame(stack.geometry, n, codes, stack.window_start)
 
 
@@ -138,8 +147,27 @@ def decode_tbr(frame: EncodedFrame) -> BinarySliceStack:
 
 
 def encode_window_tbr(stream: EventStream, cfg: EncoderConfig, window_start: int) -> EncodedFrame:
-    """Plain-mode encoding of one window: slice, then bit-stack."""
-    return encode_tbr(slice_stream(stream, cfg.slicing, window_start))
+    """Plain-mode encoding of one window.
+
+    Each event in the window ORs its slice's bit into its pixel's code, so
+    the codes equal :func:`encode_tbr` of :func:`slice_stream`'s stack.
+    Events outside the window are skipped.
+    """
+    if window_start < 0:
+        raise ValueError(f"window_start must be non-negative, got {window_start}")
+    slicing = cfg.slicing
+    window_end = window_start + slicing.window_duration
+    if window_end > INT64_MAX:
+        raise ValueError("window extends past 64-bit microsecond range")
+
+    geometry, t = stream.geometry, stream.t
+    codes = np.zeros(geometry.pixel_count, dtype=np.uint32)
+    lo, hi = np.searchsorted(t, [window_start, window_end], side="left").tolist()
+    if hi > lo:
+        bits = np.uint32(1) << ((t[lo:hi] - window_start) // slicing.slice_duration).astype(np.uint32)
+        flat = stream.y[lo:hi].astype(np.int64) * geometry.width + stream.x[lo:hi]
+        np.bitwise_or.at(codes, flat, bits)
+    return EncodedFrame(geometry, slicing.bits_per_frame, codes.reshape(geometry.shape), window_start)
 
 
 def encode_window_spike_tbr(
@@ -152,7 +180,8 @@ def encode_window_spike_tbr(
 
     Per slice: events are binned into K micro steps, each micro step drives
     one neuron update, and the slice's digit is the OR of the emitted spike
-    frames. Membrane state carries over into the next slice and window.
+    frames, written into the codes in place. Membrane state carries over
+    into the next slice and window.
     """
     if grid.geometry != stream.geometry:
         raise ValueError(
@@ -165,19 +194,31 @@ def encode_window_spike_tbr(
     if window_start < 0 or window_start + slicing.window_duration > INT64_MAX:
         raise ValueError("window outside representable microsecond range")
 
-    # Bounds of all N*K micro steps, located with one search.
+    # Bounds of all N*K micro steps, located with one search, relative to
+    # the window's first event.
     edges = window_start + micro_dt * np.arange(n * k + 1, dtype=np.int64)
-    bounds = np.searchsorted(stream.t, edges, side="left").tolist()
+    bounds = np.searchsorted(stream.t, edges, side="left")
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    bounds = (bounds - lo).tolist()
     geometry, x, y, p = stream.geometry, stream.x, stream.y, stream.p
+    events = StepInput.from_events(geometry, x[lo:hi], y[lo:hi], p[lo:hi], grid.config)
+    weights, pixels = events.values, events.pixels
 
-    bits = np.zeros((n, *geometry.shape), dtype=np.bool_)
+    codes = np.zeros(geometry.shape, dtype=np.uint32)
+    spikes_before = grid.spike_count
     for i in range(n):
         steps = zip(bounds[i * k : (i + 1) * k], bounds[i * k + 1 : (i + 1) * k + 1])
-        bits[i] = grid.spike_window(
-            StepInput.from_events(geometry, x[a:b], y[a:b], p[a:b], grid.config)
-            for a, b in steps
+        fired = grid.spike_window(
+            StepInput(weights[a:b], b - a, pixels[a:b]) for a, b in steps
         )
-    return encode_tbr(BinarySliceStack(geometry, bits, window_start))
+        # The spike tally tells, without a scan, whether any pixel fired and
+        # at most how many: a masked OR suits a few, a full pass suits many.
+        spikes, spikes_before = grid.spike_count - spikes_before, grid.spike_count
+        if 64 * spikes >= geometry.pixel_count:
+            codes |= fired.astype(np.uint32) << np.uint32(i)
+        elif spikes:
+            np.bitwise_or(codes, np.uint32(1 << i), out=codes, where=fired)
+    return EncodedFrame(geometry, n, codes, window_start)
 
 
 def encode_stream(

@@ -26,6 +26,12 @@ event cannot fire a neuron: charge from at least two events must meet on
 the membrane before it has fully leaked away. That is the noise filter the
 spike-based encoder builds on.
 
+Cost per step: the input term is O(events in the step). A step built by
+:meth:`StepInput.from_events` carries one weight per event and its flat
+pixel index, and the grid adds those weights to the touched membranes
+only. The leak, the threshold test and the reset stay dense, O(pixels),
+so every neuron is updated every step exactly as written above.
+
 Accounting: the grid counts one accumulate operation (AC) per event
 integrated plus one per recurrent feedback addition actually applied, and
 tallies emitted spikes. Both counters are read out by the efficiency and
@@ -34,6 +40,7 @@ suppression metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -91,21 +98,30 @@ class NeuronConfig:
                 )
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        for name in ("v_th", "v_rest", "weight_pos", "weight_neg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_th <= 0.0:
             raise ValueError(f"v_th must be positive, got {self.v_th}")
+        if self.v_rest >= self.v_th:
+            raise ValueError(f"v_rest must be below v_th, got {self.v_rest} >= {self.v_th}")
 
 
 @dataclass
 class StepInput:
-    """Accumulated input for one timestep.
+    """Accumulated input for one timestep, dense or sparse.
 
-    ``values`` is the (H, W) sum of event weights landing on each pixel
-    during the step; ``event_count`` is how many events that sum absorbed
-    (used for AC accounting, one accumulate per event).
+    Dense (``pixels`` is None): ``values`` is the (H, W) sum of event
+    weights landing on each pixel during the step. Sparse: ``values[i]`` is
+    the weight of one event at flat pixel index ``pixels[i]``
+    (``y * width + x``); pixels may repeat and entries keep event order.
+    ``event_count`` is how many events the input holds (used for AC
+    accounting, one accumulate per event).
     """
 
     values: np.ndarray
     event_count: int = 0
+    pixels: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, geometry: SensorGeometry) -> "StepInput":
@@ -120,11 +136,14 @@ class StepInput:
         p: np.ndarray,
         config: NeuronConfig,
     ) -> "StepInput":
-        """Histogram events into per-pixel weight sums."""
-        w = np.where(np.asarray(p) > 0, config.weight_pos, config.weight_neg)
+        """Sparse input: one weight and one flat pixel index per event.
+
+        No pixel-sized work; slicing ``values`` and ``pixels`` over a range
+        of events gives the input of those events alone.
+        """
+        w = np.where(np.asarray(p) > 0, float(config.weight_pos), float(config.weight_neg))
         flat = np.asarray(y, dtype=np.int64) * geometry.width + np.asarray(x, dtype=np.int64)
-        values = np.bincount(flat, weights=w, minlength=geometry.pixel_count)
-        return cls(values.reshape(geometry.shape), int(len(flat)))
+        return cls(w, len(flat), flat)
 
 
 class NeuronGrid:
@@ -140,12 +159,14 @@ class NeuronGrid:
         self.config = config
         self.v = np.full(geometry.shape, config.v_rest, dtype=np.float64)
         self._feedback = np.zeros(geometry.shape, dtype=np.float64)
+        # Per-pixel weight sums of a sparse step; all zero between steps.
+        self._scratch = np.zeros(geometry.pixel_count, dtype=np.float64)
         self.ac_count = 0
         self.spike_count = 0
 
     def step(self, inp: StepInput) -> SpikeFrame:
         """Advance every neuron by one timestep; return the spike frame."""
-        if inp.values.shape != self.geometry.shape:
+        if inp.pixels is None and inp.values.shape != self.geometry.shape:
             raise ValueError(
                 f"input shape {inp.values.shape} does not match grid {self.geometry.shape}"
             )
@@ -155,7 +176,10 @@ class NeuronGrid:
         # Leak before integrating: the input arriving in this step is taken
         # at full strength.
         self._leak()
-        v += inp.values
+        if inp.pixels is None:
+            v += inp.values
+        elif len(inp.pixels):
+            self._add_sparse(inp.pixels, inp.values)
         self.ac_count += inp.event_count
 
         if cfg.variant is NeuronVariant.REC_LIF:
@@ -165,15 +189,17 @@ class NeuronGrid:
                 self.ac_count += applied
 
         spikes = v >= cfg.v_th
-        if cfg.variant.hard_reset:
-            v[spikes] = cfg.v_rest
-        else:
-            v[spikes] -= cfg.v_th
+        fired = int(np.count_nonzero(spikes))
+        if fired:
+            if cfg.variant.hard_reset:
+                v[spikes] = cfg.v_rest
+            else:
+                v[spikes] -= cfg.v_th
 
         if cfg.variant is NeuronVariant.REC_LIF:
             self._feedback = spikes.astype(np.float64)
 
-        self.spike_count += int(np.count_nonzero(spikes))
+        self.spike_count += fired
         return spikes
 
     def spike_window(self, micro_inputs: Iterable[StepInput] | Sequence[StepInput]) -> SpikeFrame:
@@ -186,7 +212,10 @@ class NeuronGrid:
         combined: SpikeFrame | None = None
         for inp in micro_inputs:
             s = self.step(inp)
-            combined = s if combined is None else combined | s
+            if combined is None:
+                combined = s
+            else:
+                combined |= s
         if combined is None:
             raise ValueError("spike_window requires at least one micro input")
         return combined
@@ -202,6 +231,24 @@ class NeuronGrid:
         for _ in range(steps):
             self._leak()
         return self
+
+    def _add_sparse(self, pixels: np.ndarray, weights: np.ndarray) -> None:
+        """Add each touched pixel's weight sum to its membrane once.
+
+        The sums build up in event order from +0.0, as ``np.bincount``
+        would, so the membranes match a dense step bit for bit (an untouched
+        membrane skips ``+ 0.0``, which can only flip the sign of a zero).
+        With at least one event per 16 pixels a full histogram is cheaper
+        than scattered adds, and it is still O(events).
+        """
+        scratch = self._scratch
+        if 16 * len(pixels) >= scratch.size:
+            self.v += np.bincount(pixels, weights, scratch.size).reshape(self.v.shape)
+            return
+        np.add.at(scratch, pixels, weights)
+        flat_v = self.v.reshape(-1)
+        flat_v[pixels] += scratch[pixels]
+        scratch[pixels] = 0.0
 
     def _leak(self) -> None:
         """Decay every membrane one step toward v_rest, in place."""

@@ -146,6 +146,20 @@ class TestEncode:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--vrest", "1.2"], "v_rest must be below v_th"), (["--vth", "nan"], "v_th must be finite")],
+    )
+    def test_degenerate_neuron_is_data_error(self, tmp_path, capsys, flags, message):
+        stream_file = synth_file(tmp_path)
+        capsys.readouterr()
+        out_dir = tmp_path / "d"
+        argv = ["encode", "--in", str(stream_file), "--out-dir", str(out_dir), "--mode", "spike-tbr"]
+        assert run(argv + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not list(out_dir.glob("*.pgm"))
+
+
 class TestDecode:
     def test_prints_active_slices(self, tmp_path, capsys):
         frame = tmp_path / "f.pgm"

@@ -377,6 +377,37 @@ class TestReferenceEncoder:
         )
 
 
+class TestWideGrid:
+    """Events in one corner of an HD grid encode as on a grid of that corner's size."""
+
+    CORNER = SensorGeometry(3, 2)
+    WIDE = SensorGeometry(1280, 720)
+
+    @pytest.mark.parametrize(
+        "neuron,k",
+        [(None, 1)]
+        + [(NeuronConfig(variant=v, beta=0.5, v_th=1.0), 2) for v in NeuronVariant]
+        + [(NeuronConfig(beta=0.8, v_rest=-0.2, weight_neg=-0.6), 1)],
+    )
+    def test_corner_codes_match_small_grid(self, neuron, k):
+        small = random_stream(self.CORNER, n_events=200, duration=60_000, seed=11)
+        wide = EventStream(self.WIDE, small.events)
+        if neuron is None:
+            cfg = CFG_TBR
+        else:
+            cfg = EncoderConfig(SLICING, EncoderMode.SPIKE_TBR, neuron, micro_steps_per_slice=k)
+        small_frames = encode_stream(small, cfg)
+        wide_frames = encode_stream(wide, cfg)
+        assert len(wide_frames) == len(small_frames) == 3
+        assert any(f.codes.any() for f in small_frames)
+        for s_frame, w_frame in zip(small_frames, wide_frames):
+            h, w = self.CORNER.shape
+            assert np.array_equal(w_frame.codes[:h, :w], s_frame.codes)
+            outside = w_frame.codes.copy()
+            outside[:h, :w] = 0
+            assert not outside.any()
+
+
 class TestEncoderConfig:
     def test_spike_mode_requires_neuron(self):
         with pytest.raises(ValueError):

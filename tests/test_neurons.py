@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtbr.events import SensorGeometry
 from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant, StepInput
@@ -46,6 +48,23 @@ class TestNeuronConfig:
         with pytest.raises(ValueError):
             NeuronConfig(beta=0.5, v_th=0.0)
 
+    @pytest.mark.parametrize("v_rest", [1.1, 1.2, 50.0])
+    def test_rest_at_or_above_threshold_rejected(self, v_rest):
+        with pytest.raises(ValueError, match="v_rest must be below v_th"):
+            NeuronConfig(beta=0.5, v_th=1.1, v_rest=v_rest)
+
+    def test_rest_just_below_threshold_accepted(self):
+        assert NeuronConfig(beta=0.5, v_th=1.1, v_rest=1.0).v_rest == 1.0
+
+    @pytest.mark.parametrize("field", ["v_th", "v_rest", "weight_pos", "weight_neg"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NeuronConfig(beta=0.5, **{field: value})
+
+    def test_negative_weight_accepted(self):
+        assert NeuronConfig(beta=0.5, weight_neg=-0.5).weight_neg == -0.5
+
     def test_defaults(self):
         cfg = NeuronConfig(beta=0.5)
         assert cfg.variant is NeuronVariant.LIF
@@ -67,9 +86,13 @@ class TestStepInput:
         y = np.array([1, 1, 0])
         p = np.array([1, -1, 1])
         inp = StepInput.from_events(G, x, y, p, cfg)
-        assert inp.values[1, 1] == 1.25
-        assert inp.values[0, 2] == 1.0
-        assert inp.values.sum() == 2.25
+        assert inp.pixels.tolist() == [5, 5, 2]
+        assert inp.values.tolist() == [1.0, 0.25, 1.0]
+        sums = np.bincount(inp.pixels, weights=inp.values, minlength=G.pixel_count)
+        sums = sums.reshape(G.shape)
+        assert sums[1, 1] == 1.25
+        assert sums[0, 2] == 1.0
+        assert sums.sum() == 2.25
         assert inp.event_count == 3
 
     def test_zeros(self):
@@ -77,6 +100,68 @@ class TestStepInput:
         assert inp.values.shape == G.shape
         assert not inp.values.any()
         assert inp.event_count == 0
+        assert inp.pixels is None
+
+
+@st.composite
+def sparse_step_cases(draw):
+    """A neuron config, a geometry and per-step (x, y, p) events with repeated pixels."""
+    variant = draw(st.sampled_from(list(NeuronVariant)))
+    cfg = NeuronConfig(
+        variant=variant,
+        beta=draw(st.sampled_from([0.3, 0.5, 0.9, 1.0])),
+        v_th=draw(st.sampled_from([0.9, 1.1, 1.6])),
+        v_rest=draw(st.sampled_from([0.0, 0.3, -0.2])),
+        weight_pos=draw(st.sampled_from([1.0, 0.7])),
+        weight_neg=draw(st.sampled_from([1.0, 0.45, -0.6, -1.3])),
+    )
+    # 40x30 keeps every step below one event per 16 pixels (scattered adds);
+    # 4x4 sends every non-empty step through the full histogram.
+    geometry = SensorGeometry(*draw(st.sampled_from([(4, 4), (16, 8), (40, 30)])))
+    pixel = st.tuples(st.integers(0, geometry.width - 1), st.integers(0, geometry.height - 1))
+    pool = draw(st.lists(pixel, min_size=1, max_size=5))
+    event = st.tuples(st.sampled_from(pool), st.sampled_from([1, -1]))
+    steps = draw(st.lists(st.lists(event, max_size=12), min_size=1, max_size=40))
+    return cfg, geometry, steps
+
+
+class TestSparseStepInput:
+    @settings(max_examples=200)
+    @given(sparse_step_cases())
+    def test_sparse_matches_dense_bincount(self, case):
+        cfg, geometry, steps = case
+        sparse, dense = NeuronGrid(geometry, cfg), NeuronGrid(geometry, cfg)
+        for events in steps:
+            x = np.array([e[0][0] for e in events], dtype=np.int64)
+            y = np.array([e[0][1] for e in events], dtype=np.int64)
+            p = np.array([e[1] for e in events], dtype=np.int64)
+            inp = StepInput.from_events(geometry, x, y, p, cfg)
+            assert inp.pixels is not None and inp.event_count == len(events)
+            w = np.where(p > 0, cfg.weight_pos, cfg.weight_neg)
+            sums = np.bincount(y * geometry.width + x, weights=w, minlength=geometry.pixel_count)
+            dense_inp = StepInput(sums.reshape(geometry.shape), len(events))
+            assert np.array_equal(sparse.step(inp), dense.step(dense_inp))
+            assert np.array_equal(sparse.v, dense.v)
+        assert sparse.ac_count == dense.ac_count
+        assert sparse.spike_count == dense.spike_count
+
+    def test_scratch_is_cleared_between_steps(self):
+        big = SensorGeometry(64, 64)
+        grid = NeuronGrid(big, NeuronConfig(beta=0.5))
+        cfg = grid.config
+        grid.step(StepInput.from_events(big, np.array([3, 3]), np.array([2, 2]),
+                                        np.array([1, 1]), cfg))
+        assert grid.v[2, 3] == 0.0  # two events fired and reset the neuron
+        grid.step(StepInput.from_events(big, np.array([3]), np.array([2]), np.array([1]), cfg))
+        assert grid.v[2, 3] == 1.0
+
+    def test_empty_sparse_input_only_leaks(self):
+        grid = NeuronGrid(G, NeuronConfig(beta=0.5))
+        grid.v[:] = 1.0
+        empty = np.array([], dtype=np.int64)
+        inp = StepInput.from_events(G, empty, empty, empty, grid.config)
+        assert not grid.step(inp).any()
+        assert (grid.v == 0.5).all() and grid.ac_count == 0
 
 
 class TestStep:
