@@ -44,7 +44,7 @@ def random_stream(
     x = rng.integers(0, geometry.width, size=n_events, dtype=np.int32)
     y = rng.integers(0, geometry.height, size=n_events, dtype=np.int32)
     p = rng.integers(0, 2, size=n_events, dtype=np.int8) * 2 - 1
-    return EventStream.from_arrays(geometry, t, x, y, p)
+    return EventStream(geometry, t, x, y, p)
 
 
 def default_bench_config() -> EncoderConfig:

@@ -250,7 +250,7 @@ def encode_stream(
     bounds = np.searchsorted(stream.t, edges, side="left").tolist()
     frames = []
     for w in range(n_windows):
-        window = EventStream(stream.geometry, stream.events[bounds[w] : bounds[w + 1]])
+        window = stream[bounds[w] : bounds[w + 1]]
         start = w * duration
         if cfg.mode is EncoderMode.TBR:
             frames.append(encode_window_tbr(window, cfg, start))

@@ -1,10 +1,15 @@
 """Core event-stream types and temporal slicing.
 
-An event camera reports a stream of (x, y, t, p) tuples: pixel coordinates,
-a microsecond timestamp and a polarity sign. This module defines the stream
-container plus the time partition everything else is built on:
+An event camera reports a stream of (t, x, y, p) tuples: a microsecond
+timestamp, pixel coordinates and a polarity sign. This module defines the
+stream container plus the time partition everything else is built on:
 ``slice_stream`` cuts one accumulation window of length ``N * dt`` into N
 binary frames, one bit per pixel per slice (polarity is ignored).
+
+A stream holds its events as four contiguous columns, ``t`` int64, ``x``
+and ``y`` int32 and ``p`` int8, in the same (t, x, y, p) order as
+:class:`Event`, the CSV format and binary-v1. A run of events is a slice of
+each column, so a window of a stream shares its memory.
 
 Timestamps are integer microseconds throughout. Slice and window intervals
 are half-open ``[start, start + dt)`` so every event lands in exactly one
@@ -13,25 +18,23 @@ bin; an event exactly on a boundary belongs to the next bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 INT64_MAX = np.iinfo(np.int64).max
 
-# In-memory event record layout. Field order matches iteration order of Event.
-EVENT_DTYPE = np.dtype(
-    [("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8)]
-)
+# Column names and dtypes of an EventStream, in field order.
+_COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
 
 
 class Event(NamedTuple):
     """A single sensor event."""
 
+    t: int
     x: int
     y: int
-    t: int
     p: int
 
 
@@ -60,78 +63,65 @@ class SensorGeometry:
 class EventStream:
     """A time-ordered sequence of events plus the sensor geometry.
 
-    The event array is stored as a structured numpy array (EVENT_DTYPE) and
-    is treated as immutable after construction. Construction does not
+    The constructor casts each column to its dtype (``t`` int64, ``x`` and
+    ``y`` int32, ``p`` int8) and makes it contiguous, copying only when
+    it has to, and rejects columns of unequal length. The columns are
+    treated as immutable after construction. Construction does not
     validate; use :func:`validate_stream` to check bounds/ordering of data
     from untrusted sources.
     """
 
     geometry: SensorGeometry
-    events: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=EVENT_DTYPE))
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.events.dtype != EVENT_DTYPE:
-            raise ValueError(f"event array must have dtype {EVENT_DTYPE}, got {self.events.dtype}")
+        for name, dtype in _COLUMNS:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
+        lengths = {len(self.t), len(self.x), len(self.y), len(self.p)}
+        if len(lengths) != 1:
+            raise ValueError(f"event columns differ in length: {sorted(lengths)}")
 
     @classmethod
     def from_events(cls, geometry: SensorGeometry, events: Iterable[Event | tuple]) -> "EventStream":
-        """Build a stream from (x, y, t, p) tuples, preserving order."""
-        rows = [(t, x, y, p) for (x, y, t, p) in events]
-        arr = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
-        return cls(geometry, arr)
-
-    @classmethod
-    def from_arrays(cls, geometry: SensorGeometry, t, x, y, p) -> "EventStream":
-        """Build a stream from four equal-length columns, preserving order.
-
-        The one place that fills EVENT_DTYPE records from columns.
-        """
-        arr = np.empty(len(t), dtype=EVENT_DTYPE)
-        arr["t"] = t
-        arr["x"] = x
-        arr["y"] = y
-        arr["p"] = p
-        return cls(geometry, arr)
+        """Build a stream from (t, x, y, p) tuples, preserving order."""
+        rows = np.array(list(events), dtype=np.int64).reshape(-1, len(_COLUMNS))
+        return cls(geometry, *rows.T)
 
     @classmethod
     def empty(cls, geometry: SensorGeometry) -> "EventStream":
-        return cls(geometry)
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.events["t"]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.events["x"]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.events["y"]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.events["p"]
+        return cls(geometry, *(np.empty(0, dtype) for _, dtype in _COLUMNS))
 
     @property
     def first_t(self) -> int | None:
-        return int(self.events["t"][0]) if len(self.events) else None
+        return int(self.t[0]) if len(self.t) else None
 
     @property
     def last_t(self) -> int | None:
-        return int(self.events["t"][-1]) if len(self.events) else None
+        return int(self.t[-1]) if len(self.t) else None
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.t)
+
+    def __getitem__(self, index) -> "EventStream":
+        """The events at ``index`` (a slice, a mask or indices), in that order.
+
+        A slice gives views that share this stream's memory.
+        """
+        return EventStream(self.geometry, self.t[index], self.x[index], self.y[index], self.p[index])
 
     def __iter__(self) -> Iterator[Event]:
-        for rec in self.events:
-            yield Event(int(rec["x"]), int(rec["y"]), int(rec["t"]), int(rec["p"]))
+        columns = (self.t.tolist(), self.x.tolist(), self.y.tolist(), self.p.tolist())
+        return (Event(*row) for row in zip(*columns))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(self.events, other.events)
+        return self.geometry == other.geometry and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _COLUMNS
+        )
 
 
 @dataclass(frozen=True)
@@ -209,20 +199,37 @@ class ValidationReport:
         return self.violation_count == 0
 
 
+def event_faults(geometry: SensorGeometry, t, x, y, p) -> dict[str, np.ndarray]:
+    """Per-event masks of each kind of invalid event, in check order.
+
+    ``polarity``: p is neither -1 nor 1; ``bounds``: (x, y) lies outside
+    the geometry; ``negative_t`` and ``large_t``: t lies outside
+    [0, 2^63 - 1]; ``order``: t is below the previous event's. Columns of
+    any integer dtype work, including object arrays of Python integers.
+    """
+    order = np.zeros(len(t), dtype=bool)
+    order[1:] = t[1:] < t[:-1]
+    return {
+        "polarity": (p != 1) & (p != -1),
+        "bounds": (x < 0) | (x >= geometry.width) | (y < 0) | (y >= geometry.height),
+        "negative_t": t < 0,
+        "large_t": t > INT64_MAX,
+        "order": order,
+    }
+
+
 def validate_stream(stream: EventStream) -> ValidationReport:
     """Check geometry bounds, timestamp ordering and polarity values.
 
     Reporting only: never raises. Out-of-order counts the number of
     positions where the timestamp decreases relative to its predecessor.
     """
-    if len(stream) == 0:
-        return ValidationReport()
-    g = stream.geometry
-    x, y, t, p = stream.x, stream.y, stream.t, stream.p
-    oob = int(np.count_nonzero((x < 0) | (x >= g.width) | (y < 0) | (y >= g.height)))
-    ooo = int(np.count_nonzero(np.diff(t) < 0))
-    badp = int(np.count_nonzero((p != 1) & (p != -1)))
-    return ValidationReport(out_of_bounds=oob, out_of_order=ooo, bad_polarity=badp)
+    faults = event_faults(stream.geometry, stream.t, stream.x, stream.y, stream.p)
+    return ValidationReport(
+        out_of_bounds=int(np.count_nonzero(faults["bounds"])),
+        out_of_order=int(np.count_nonzero(faults["order"])),
+        bad_polarity=int(np.count_nonzero(faults["polarity"])),
+    )
 
 
 def slice_stream(stream: EventStream, cfg: SlicingConfig, window_start: int) -> BinarySliceStack:
@@ -250,28 +257,29 @@ def slice_stream(stream: EventStream, cfg: SlicingConfig, window_start: int) -> 
     return BinarySliceStack(stream.geometry, stack, window_start)
 
 
-def merge_sorted_by_time(
-    geometry: SensorGeometry, *parts: "EventStream | np.ndarray"
-) -> EventStream:
-    """Concatenate streams or event record arrays and stable-sort by t.
+def merge_sorted_by_time(geometry: SensorGeometry, *parts: EventStream) -> EventStream:
+    """Concatenate streams and stable-sort the events by t.
 
+    The parts need not be sorted themselves: one stable argsort of the
+    concatenated ``t`` orders everything, and each column is gathered once.
     Ties keep concatenation order, so callers control tie-breaking by
     argument order.
     """
-    arrays = [p.events if isinstance(p, EventStream) else p for p in parts]
-    merged = np.concatenate(arrays) if arrays else np.empty(0, dtype=EVENT_DTYPE)
-    order = np.argsort(merged["t"], kind="stable")
-    return EventStream(geometry, merged[order])
+    if not parts:
+        return EventStream.empty(geometry)
+    columns = [np.concatenate([getattr(part, name) for part in parts]) for name, _ in _COLUMNS]
+    order = np.argsort(columns[0], kind="stable")
+    return EventStream(geometry, *(column[order] for column in columns))
 
 
 __all__ = [
-    "EVENT_DTYPE",
     "Event",
     "SensorGeometry",
     "EventStream",
     "SlicingConfig",
     "BinarySliceStack",
     "ValidationReport",
+    "event_faults",
     "validate_stream",
     "slice_stream",
     "merge_sorted_by_time",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncodedFrame
-from .events import EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry, event_faults
 
 BINARY_MAGIC = b"EVS1"
 BINARY_HEADER_LEN = 12
@@ -39,7 +39,8 @@ _FILE_RECORD_DTYPE = np.dtype(
     [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")]
 )
 
-_INT64_MAX = np.iinfo(np.int64).max
+# What counts as a blank CSV line: ASCII whitespace only, as bytes.strip().
+_ASCII_WHITESPACE = " \t\r\x0b\x0c"
 _U16_MAX = np.iinfo(np.uint16).max
 _U32_MAX = np.iinfo(np.uint32).max
 
@@ -83,7 +84,8 @@ def write_events(stream: EventStream, path: str | Path, fmt: EventFileFormat) ->
     path = Path(path)
     if fmt is EventFileFormat.TEXT_CSV:
         lines = [CSV_HEADER]
-        lines.extend(f"{e['t']},{e['x']},{e['y']},{e['p']}" for e in stream.events)
+        columns = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
+        lines.extend(f"{t},{x},{y},{p}" for t, x, y, p in zip(*columns))
         path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
         return
 
@@ -104,43 +106,66 @@ def write_events(stream: EventStream, path: str | Path, fmt: EventFileFormat) ->
     path.write_bytes(header + records.tobytes())
 
 
+def _check_events(path: Path, geometry: SensorGeometry, t, x, y, p, locate, unit: str) -> None:
+    """Raise :class:`EventFileError` for the earliest invalid event, if any.
+
+    ``locate(k)`` names where event k sits in the file ("byte 25", "line
+    3") and ``unit`` what one is called there. An event with several
+    faults is reported by the first of :func:`event_faults`' checks.
+    """
+    faults = event_faults(geometry, t, x, y, p)
+    bad = np.logical_or.reduce(list(faults.values()))
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    kind = next(name for name, mask in faults.items() if mask[k])
+    if kind == "polarity":
+        reason = f"polarity must be -1 or 1, got {int(p[k])}"
+    elif kind == "bounds":
+        reason = f"event ({int(x[k])}, {int(y[k])}) outside {geometry.width}x{geometry.height}"
+    elif kind == "negative_t":
+        reason = f"negative timestamp {int(t[k])}"
+    elif kind == "large_t":
+        reason = "timestamp exceeds 2^63 - 1 microseconds"
+    else:
+        reason = f"timestamp {int(t[k])} is earlier than the previous {unit}'s {int(t[k - 1])}"
+    raise EventFileError(f"{path}: {locate(k)}: {reason}")
+
+
 def _read_csv(path: Path, geometry: SensorGeometry) -> EventStream:
-    text = path.read_bytes()
-    lines = text.split(b"\n")
-    if not lines or lines[0].decode("ascii", errors="replace").strip() != CSV_HEADER:
+    lines = path.read_bytes().decode("ascii", errors="replace").split("\n")
+    if lines[0].strip() != CSV_HEADER:
         raise EventFileError(f"{path}: line 1: expected header '{CSV_HEADER}'")
 
-    rows = []
-    prev_t = 0
+    # The loop only splits and parses; the first line it cannot parse is
+    # reported after any value fault on an earlier line.
+    values, linenos, unparsed = [], [], None
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.decode("ascii", errors="replace").split(",")
-        if len(parts) != 4:
-            raise EventFileError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+        fields = raw.split(",")
+        if len(fields) != 4:
+            if not raw.strip(_ASCII_WHITESPACE):
+                continue
+            unparsed = f"line {lineno}: expected 4 fields, got {len(fields)}"
+            break
         try:
-            t, x, y, p = (int(s) for s in parts)
+            values.extend(map(int, fields))
         except ValueError:
-            raise EventFileError(f"{path}: line {lineno}: non-integer field") from None
-        if p not in (-1, 1):
-            raise EventFileError(f"{path}: line {lineno}: polarity must be -1 or 1, got {p}")
-        if not (0 <= x < geometry.width and 0 <= y < geometry.height):
-            raise EventFileError(
-                f"{path}: line {lineno}: event ({x}, {y}) outside {geometry.width}x{geometry.height}"
-            )
-        if t < 0:
-            raise EventFileError(f"{path}: line {lineno}: negative timestamp {t}")
-        if t > _INT64_MAX:
-            raise EventFileError(f"{path}: line {lineno}: timestamp exceeds 2^63 - 1 microseconds")
-        if t < prev_t:
-            raise EventFileError(
-                f"{path}: line {lineno}: timestamp {t} is earlier than the previous event's {prev_t}"
-            )
-        prev_t = t
-        rows.append((t, x, y, p))
+            unparsed = f"line {lineno}: non-integer field"
+            break
+        linenos.append(lineno)
+    del values[4 * len(linenos) :]  # the fields of a line that failed midway
 
-    columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return EventStream.from_arrays(geometry, *columns)
+    try:
+        table = np.array(values, dtype=np.int64)
+    except OverflowError:
+        # A value outside int64 is always invalid; Python integers keep it
+        # exact until the check reports it.
+        table = np.array(values, dtype=object)
+    t, x, y, p = table.reshape(-1, 4).T
+    _check_events(path, geometry, t, x, y, p, lambda k: f"line {linenos[k]}", "event")
+    if unparsed:
+        raise EventFileError(f"{path}: {unparsed}")
+    return EventStream(geometry, t, x, y, p)
 
 
 def _read_binary(path: Path) -> EventStream:
@@ -154,45 +179,18 @@ def _read_binary(path: Path) -> EventStream:
         raise EventFileError(f"{path}: byte 4: invalid geometry {width}x{height}")
     geometry = SensorGeometry(width, height)
 
-    body = data[BINARY_HEADER_LEN:]
-    n_full, leftover = divmod(len(body), BINARY_RECORD_LEN)
+    n_full, leftover = divmod(len(data) - BINARY_HEADER_LEN, BINARY_RECORD_LEN)
     if leftover:
         raise EventFileError(
             f"{path}: byte {BINARY_HEADER_LEN + n_full * BINARY_RECORD_LEN}: truncated record "
             f"({leftover} of {BINARY_RECORD_LEN} bytes)"
         )
-    records = np.frombuffer(body, dtype=_FILE_RECORD_DTYPE)
-
-    def record_offset(idx: int) -> int:
-        return BINARY_HEADER_LEN + idx * BINARY_RECORD_LEN
-
-    bad_p = np.nonzero((records["p"] != 1) & (records["p"] != -1))[0]
-    if bad_p.size:
-        k = int(bad_p[0])
-        raise EventFileError(
-            f"{path}: byte {record_offset(k)}: polarity must be -1 or 1, got {int(records['p'][k])}"
-        )
-    oob = np.nonzero((records["x"] >= width) | (records["y"] >= height))[0]
-    if oob.size:
-        k = int(oob[0])
-        raise EventFileError(
-            f"{path}: byte {record_offset(k)}: event ({int(records['x'][k])}, {int(records['y'][k])}) "
-            f"outside {width}x{height}"
-        )
-    too_big = np.nonzero(records["t"] > np.uint64(_INT64_MAX))[0]
-    if too_big.size:
-        k = int(too_big[0])
-        raise EventFileError(f"{path}: byte {record_offset(k)}: timestamp exceeds 2^63 - 1 microseconds")
-    t = records["t"]
-    backwards = np.nonzero(t[1:] < t[:-1])[0]
-    if backwards.size:
-        k = int(backwards[0]) + 1
-        raise EventFileError(
-            f"{path}: byte {record_offset(k)}: timestamp {int(t[k])} is earlier than "
-            f"the previous record's {int(t[k - 1])}"
-        )
-
-    return EventStream.from_arrays(geometry, t, records["x"], records["y"], records["p"])
+    records = np.frombuffer(data, dtype=_FILE_RECORD_DTYPE, offset=BINARY_HEADER_LEN)
+    t, x, y, p = (records[name] for name in ("t", "x", "y", "p"))
+    _check_events(
+        path, geometry, t, x, y, p, lambda k: f"byte {BINARY_HEADER_LEN + k * BINARY_RECORD_LEN}", "record"
+    )
+    return EventStream(geometry, t, x, y, p)
 
 
 def write_frame(frame: EncodedFrame, path: str | Path) -> None:

@@ -61,23 +61,18 @@ def _draw_slice(
     slice_index: int,
     start: int,
     end: int,
-) -> np.ndarray:
-    """Noise events for one slice covering [start, end), sorted by t."""
+) -> EventStream:
+    """Noise events for one slice covering [start, end), in pixel order."""
     rng = _slice_rng(cfg, slice_index)
     u = rng.random(geometry.pixel_count)
     fired = np.nonzero(u < cfg.probability)[0]
     n = fired.size
     ts = rng.integers(start, end, size=n, dtype=np.int64)
     if cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM:
-        pol = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
+        pol = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
     else:
         pol = np.ones(n, dtype=np.int8)
-
-    order = np.argsort(ts, kind="stable")
-    pixels = fired[order]
-    return EventStream.from_arrays(
-        geometry, ts[order], pixels % geometry.width, pixels // geometry.width, pol[order]
-    ).events
+    return EventStream(geometry, ts, fired % geometry.width, fired // geometry.width, pol)
 
 
 def default_span(stream: EventStream, slice_duration: int) -> tuple[int, int]:
@@ -128,15 +123,15 @@ def inject_noise(
     parts = []
     for s in range(n_slices):
         start = t0 + s * dt
-        end = min(start + dt, t1)
-        chunk = _draw_slice(cfg, stream.geometry, s, start, end)
-        if chunk.size:
+        chunk = _draw_slice(cfg, stream.geometry, s, start, min(start + dt, t1))
+        if len(chunk):
             parts.append(chunk)
 
     if not parts:
         return stream
-    noise = EventStream(stream.geometry, np.concatenate(parts))
-    return merge_sorted_by_time(stream.geometry, stream, noise)
+    # Slices are disjoint in time and each is in pixel order, so one stable
+    # sort orders the noise by (t, pixel) and puts signal first on ties.
+    return merge_sorted_by_time(stream.geometry, stream, *parts)
 
 
 def merge_noise_recording(
@@ -176,7 +171,7 @@ def merge_noise_recording(
     offsets = sig_start + period * np.arange(n_copies, dtype=np.int64)
     shifted = (offsets[:, None] + noise_t).ravel()
     keep = shifted <= sig_end
-    overlay = EventStream.from_arrays(
+    overlay = EventStream(
         target_geometry,
         shifted[keep],
         np.tile(nx, n_copies)[keep],

@@ -179,7 +179,7 @@ def generate(scene: SynthScene) -> EventStream:
             continue
         ts = rng.integers(start, end, size=total, dtype=np.int64)
         parts.append(
-            EventStream.from_arrays(
+            EventStream(
                 scene.geometry,
                 ts,
                 np.repeat(xs, counts),

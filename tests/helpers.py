@@ -3,13 +3,7 @@
 import numpy as np
 
 from evtbr.bench import random_stream  # noqa: F401  (re-exported for tests)
-from evtbr.events import EVENT_DTYPE, BinarySliceStack, EventStream, SensorGeometry
-
-
-def make_stream(geometry: SensorGeometry, rows) -> EventStream:
-    """Stream from (t, x, y, p) tuples, order preserved."""
-    arr = np.array(rows, dtype=EVENT_DTYPE) if len(rows) else np.empty(0, dtype=EVENT_DTYPE)
-    return EventStream(geometry, arr)
+from evtbr.events import BinarySliceStack, SensorGeometry
 
 
 def random_stack(

@@ -27,7 +27,7 @@ from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant, StepInput
 from evtbr.noise import NoiseConfig, noise_only_stream
 from evtbr.synth import SceneKind, SynthScene
 
-from helpers import make_stream, random_stack
+from helpers import random_stack
 
 SLICING = SlicingConfig(slice_duration=2_500, bits_per_frame=8)
 
@@ -62,7 +62,7 @@ def test_02_most_recent_slice_is_most_significant_bit(gate):
     geometry = SensorGeometry(16, 16)
     cfg = EncoderConfig(slicing=SLICING)
     silent = encode_window_tbr(EventStream.empty(geometry), cfg, 0)
-    bumped = encode_window_tbr(make_stream(geometry, [(17_500, 0, 0, 1)]), cfg, 0)
+    bumped = encode_window_tbr(EventStream.from_events(geometry, [(17_500, 0, 0, 1)]), cfg, 0)
     delta_zero = int(bumped.codes[0, 0]) - int(silent.codes[0, 0])
     norm_delta = bumped.normalized()[0, 0] - silent.normalized()[0, 0]
 

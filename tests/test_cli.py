@@ -5,10 +5,9 @@ import sys
 import pytest
 
 from evtbr.cli import main
-from evtbr.events import SensorGeometry
+from evtbr.events import EventStream, SensorGeometry
 from evtbr.io import EventFileFormat, read_events, write_events
 
-from helpers import make_stream
 
 SMALL_SYNTH = [
     "synth", "--kind", "moving-bar", "--size", "32x32",
@@ -129,7 +128,7 @@ class TestEncode:
     def test_out_of_order_input_is_data_error(self, tmp_path, capsys, mode, name, fmt, where):
         rows = [(30_000, 1, 1, 1), (30_000, 1, 1, 1), (0, 2, 2, 1), (2_600, 2, 2, 1)]
         f = tmp_path / name
-        write_events(make_stream(SensorGeometry(4, 4), rows), f, fmt)
+        write_events(EventStream.from_events(SensorGeometry(4, 4), rows), f, fmt)
         out_dir = tmp_path / "d"
         argv = ["encode", "--in", str(f), "--out-dir", str(out_dir), "--size", "4x4"]
         assert run(argv + ["--mode", mode]) == 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtbr import encoder
 from evtbr.encoder import (
     EncodedFrame,
     EncoderConfig,
@@ -16,7 +17,7 @@ from evtbr.encoder import (
 from evtbr.events import BinarySliceStack, EventStream, SensorGeometry, SlicingConfig
 from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant
 
-from helpers import make_stream, random_stack, random_stream
+from helpers import random_stack, random_stream
 from reference import reference_encode
 
 G = SensorGeometry(4, 4)
@@ -115,19 +116,19 @@ class TestEncodeWindowTbr:
         assert not frame.codes.any()
 
     def test_event_in_last_slice_sets_msb(self):
-        stream = make_stream(G, [(17_500, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(17_500, 1, 1, 1)])
         frame = encode_window_tbr(stream, CFG_TBR, 0)
         assert frame.codes[1, 1] == 128
 
     def test_polarity_does_not_change_code(self):
-        pos = make_stream(G, [(0, 2, 2, 1)])
-        neg = make_stream(G, [(0, 2, 2, -1)])
+        pos = EventStream.from_events(G, [(0, 2, 2, 1)])
+        neg = EventStream.from_events(G, [(0, 2, 2, -1)])
         a = encode_window_tbr(pos, CFG_TBR, 0)
         b = encode_window_tbr(neg, CFG_TBR, 0)
         assert np.array_equal(a.codes, b.codes)
 
     def test_window_start_carried(self):
-        stream = make_stream(G, [(20_000, 0, 0, 1)])
+        stream = EventStream.from_events(G, [(20_000, 0, 0, 1)])
         frame = encode_window_tbr(stream, CFG_TBR, 20_000)
         assert frame.window_start == 20_000
         assert frame.codes[0, 0] == 1
@@ -170,7 +171,7 @@ class TestSpikeWindowEncoding:
             mode=EncoderMode.SPIKE_TBR,
             neuron=NeuronConfig(beta=0.5, v_th=1.1),
         )
-        stream = make_stream(G, [(0, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(0, 1, 1, 1)])
         frame = spike_encode(stream, cfg)
         assert not frame.codes.any()
 
@@ -181,7 +182,7 @@ class TestSpikeWindowEncoding:
             mode=EncoderMode.SPIKE_TBR,
             neuron=NeuronConfig(beta=0.5, v_th=1.1),
         )
-        stream = make_stream(G, [(5_000, 1, 1, 1), (7_500, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(5_000, 1, 1, 1), (7_500, 1, 1, 1)])
         frame = spike_encode(stream, cfg)
         assert frame.codes[1, 1] == 8
 
@@ -221,8 +222,8 @@ class TestSpikeWindowEncoding:
         grid = NeuronGrid(G, cfg.neuron)
         # Window 0 ends with a subthreshold charge; window 1 opens with an
         # event that pushes the carried membrane over threshold in slice 0.
-        w0 = make_stream(G, [(17_500, 1, 1, 1)])
-        w1 = make_stream(G, [(20_000, 1, 1, 1)])
+        w0 = EventStream.from_events(G, [(17_500, 1, 1, 1)])
+        w1 = EventStream.from_events(G, [(20_000, 1, 1, 1)])
         f0 = encode_window_spike_tbr(w0, cfg, grid, 0)
         f1 = encode_window_spike_tbr(w1, cfg, grid, 20_000)
         assert not f0.codes.any()
@@ -234,7 +235,7 @@ class TestSpikeWindowEncoding:
             mode=EncoderMode.SPIKE_TBR,
             neuron=NeuronConfig(beta=0.5, v_th=1.1),
         )
-        stream = make_stream(G, [(0, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(0, 1, 1, 1)])
         a = spike_encode(stream, cfg)
         b = spike_encode(stream, cfg)
         assert np.array_equal(a.codes, b.codes)
@@ -247,7 +248,7 @@ class TestSpikeWindowEncoding:
 
     def test_events_outside_window_ignored(self):
         cfg = lever_config()
-        stream = make_stream(G, [(25_000, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(25_000, 1, 1, 1)])
         frame = spike_encode(stream, cfg)
         assert not frame.codes.any()
 
@@ -261,7 +262,7 @@ class TestEncodeStream:
 
     def test_known_counts_for_two_slice_durations(self):
         rows = [(0, 0, 0, 1), (499_999, 3, 3, -1)]
-        stream = make_stream(G, rows)
+        stream = EventStream.from_events(G, rows)
         fast = encode_stream(stream, EncoderConfig(slicing=SlicingConfig(2_500, 8)))
         slow = encode_stream(stream, EncoderConfig(slicing=SlicingConfig(6_250, 8)))
         assert len(fast) == 25
@@ -271,7 +272,7 @@ class TestEncodeStream:
         assert encode_stream(EventStream.empty(G), CFG_TBR) == []
 
     def test_n_windows_override_pads_with_zero_frames(self):
-        stream = make_stream(G, [(0, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(0, 1, 1, 1)])
         frames = encode_stream(stream, CFG_TBR, n_windows=4)
         assert len(frames) == 4
         assert frames[0].codes[1, 1] == 1
@@ -291,26 +292,38 @@ class TestEncodeStream:
         )
         # Same charge/trigger pair as the two-window persistence test, as
         # one stream spanning the window boundary.
-        stream = make_stream(G, [(17_500, 1, 1, 1), (20_000, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(17_500, 1, 1, 1), (20_000, 1, 1, 1)])
         frames = encode_stream(stream, cfg)
         assert len(frames) == 2
         assert not frames[0].codes.any()
         assert frames[1].codes[1, 1] == 1
+
+    def test_windows_are_zero_copy_slices(self, monkeypatch):
+        stream = random_stream(G, n_events=400, duration=80_000, seed=7)
+        windows = []
+
+        def capture(window, cfg, start):
+            windows.append(window)
+            return encode_window_tbr(window, cfg, start)
+
+        monkeypatch.setattr(encoder, "encode_window_tbr", capture)
+        encode_stream(stream, CFG_TBR)
+        assert sum(len(w) for w in windows) == len(stream)
+        for window in windows:
+            for name in "txyp":
+                assert np.shares_memory(getattr(window, name), getattr(stream, name))
 
     def test_whole_stream_equals_per_window_concatenation(self):
         stream = random_stream(G, n_events=400, duration=80_000, seed=7)
         frames = encode_stream(stream, CFG_TBR)
         for k, frame in enumerate(frames):
             start = k * SLICING.window_duration
-            mask = (stream.events["t"] >= start) & (
-                stream.events["t"] < start + SLICING.window_duration
-            )
-            window = EventStream(G, stream.events[mask])
+            window = stream[(stream.t >= start) & (stream.t < start + SLICING.window_duration)]
             solo = encode_window_tbr(window, CFG_TBR, start)
             assert frame == solo
 
     def test_last_window_past_int64_is_rejected(self):
-        stream = make_stream(G, [(0, 1, 1, 1)])
+        stream = EventStream.from_events(G, [(0, 1, 1, 1)])
         n_windows = np.iinfo(np.int64).max // SLICING.window_duration + 1
         with pytest.raises(ValueError, match="representable"):
             encode_stream(stream, CFG_TBR, n_windows=n_windows)
@@ -360,7 +373,7 @@ def reference_cases(draw):
         )
     # The default window count for these streams is 0 to 4.
     n_windows = draw(st.sampled_from([None, 0, 1, 2, 5]))
-    return make_stream(geometry, rows), cfg, n_windows
+    return EventStream.from_events(geometry, rows), cfg, n_windows
 
 
 class TestReferenceEncoder:
@@ -373,7 +386,7 @@ class TestReferenceEncoder:
             n_windows = 0 if len(stream) == 0 else stream.last_t // cfg.slicing.window_duration + 1
         assert len(frames) == n_windows
         assert [f.codes.tolist() for f in frames] == reference_encode(
-            stream.events.tolist(), stream.geometry, cfg, n_windows
+            list(stream), stream.geometry, cfg, n_windows
         )
 
 
@@ -391,7 +404,7 @@ class TestWideGrid:
     )
     def test_corner_codes_match_small_grid(self, neuron, k):
         small = random_stream(self.CORNER, n_events=200, duration=60_000, seed=11)
-        wide = EventStream(self.WIDE, small.events)
+        wide = EventStream(self.WIDE, small.t, small.x, small.y, small.p)
         if neuron is None:
             cfg = CFG_TBR
         else:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from evtbr.events import (
-    EVENT_DTYPE,
     BinarySliceStack,
     Event,
     EventStream,
@@ -12,7 +11,7 @@ from evtbr.events import (
     slice_stream,
     validate_stream,
 )
-from helpers import make_stream, random_stream
+from helpers import random_stream
 
 G44 = SensorGeometry(4, 4)
 DT = SlicingConfig(slice_duration=2500, bits_per_frame=8)
@@ -32,7 +31,7 @@ class TestGeometry:
 
 class TestEventStream:
     def test_from_events_preserves_order(self):
-        s = EventStream.from_events(G44, [Event(1, 2, 100, 1), Event(3, 0, 50, -1)])
+        s = EventStream.from_events(G44, [Event(100, 1, 2, 1), Event(50, 3, 0, -1)])
         assert len(s) == 2
         assert list(s.t) == [100, 50]
         assert list(s.x) == [1, 3]
@@ -40,44 +39,76 @@ class TestEventStream:
         assert list(s.p) == [1, -1]
 
     def test_first_last(self):
-        s = make_stream(G44, [(10, 0, 0, 1), (90, 1, 1, -1)])
+        s = EventStream.from_events(G44, [(10, 0, 0, 1), (90, 1, 1, -1)])
         assert s.first_t == 10 and s.last_t == 90
         assert EventStream.empty(G44).first_t is None
         assert EventStream.empty(G44).last_t is None
 
     def test_iter_yields_events(self):
-        s = make_stream(G44, [(7, 1, 2, -1)])
+        s = EventStream.from_events(G44, [(7, 1, 2, -1)])
         assert list(s) == [Event(x=1, y=2, t=7, p=-1)]
 
     def test_equality(self):
-        a = make_stream(G44, [(1, 0, 0, 1)])
-        b = make_stream(G44, [(1, 0, 0, 1)])
-        c = make_stream(G44, [(2, 0, 0, 1)])
+        a = EventStream.from_events(G44, [(1, 0, 0, 1)])
+        b = EventStream.from_events(G44, [(1, 0, 0, 1)])
+        c = EventStream.from_events(G44, [(2, 0, 0, 1)])
         assert a == b and a != c
-        assert a != make_stream(SensorGeometry(5, 5), [(1, 0, 0, 1)])
+        assert a != EventStream.from_events(SensorGeometry(5, 5), [(1, 0, 0, 1)])
 
-    def test_rejects_wrong_dtype(self):
-        with pytest.raises(ValueError):
-            EventStream(G44, np.zeros(3, dtype=np.int64))
+    def test_event_field_order_is_t_x_y_p(self):
+        assert Event._fields == ("t", "x", "y", "p")
+        s = EventStream.from_events(G44, [(7, 1, 2, -1)])
+        assert list(s) == [(7, 1, 2, -1)]
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_rejects_unequal_column_lengths(self, column):
+        columns = [np.zeros(3, dtype=np.int64) for _ in range(4)]
+        columns[column] = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="length"):
+            EventStream(G44, *columns)
+
+    def test_columns_are_cast_and_contiguous(self):
+        wide = np.array([[5, 0], [1, 0], [2, 0]], dtype=np.int64)[:, 0]
+        s = EventStream(G44, wide, [1, 2, 3], np.array([0, 1, 2], dtype=np.uint16), [1.0, -1.0, 1.0])
+        assert (s.t.dtype, s.x.dtype, s.y.dtype, s.p.dtype) == (np.int64, np.int32, np.int32, np.int8)
+        assert all(c.flags.c_contiguous for c in (s.t, s.x, s.y, s.p))
+        assert s.t.tolist() == [5, 1, 2] and s.p.tolist() == [1, -1, 1]
+
+    def test_empty_has_column_dtypes(self):
+        s = EventStream.empty(G44)
+        assert len(s) == 0
+        assert (s.t.dtype, s.x.dtype, s.y.dtype, s.p.dtype) == (np.int64, np.int32, np.int32, np.int8)
+
+    def test_slice_shares_memory(self):
+        s = random_stream(G44, 50, 10_000, seed=1)
+        part = s[10:20]
+        assert len(part) == 10 and part.geometry == G44
+        for name in "txyp":
+            assert np.shares_memory(getattr(part, name), getattr(s, name))
+        assert part == EventStream.from_events(G44, list(s)[10:20])
+
+    def test_mask_selects_in_order(self):
+        s = EventStream.from_events(G44, [(1, 0, 0, 1), (2, 1, 0, -1), (3, 2, 0, 1)])
+        assert list(s[s.p > 0]) == [(1, 0, 0, 1), (3, 2, 0, 1)]
 
 
 class TestValidateStream:
     def test_clean(self):
-        s = make_stream(G44, [(0, 0, 0, 1), (5, 3, 3, -1)])
+        s = EventStream.from_events(G44, [(0, 0, 0, 1), (5, 3, 3, -1)])
         report = validate_stream(s)
         assert report.violation_count == 0
         assert report.is_clean
 
     def test_out_of_bounds_x_equal_width(self):
-        s = make_stream(G44, [(5, 4, 0, 1)])
+        s = EventStream.from_events(G44, [(5, 4, 0, 1)])
         assert validate_stream(s).out_of_bounds == 1
 
     def test_out_of_order(self):
-        s = make_stream(G44, [(10, 0, 0, 1), (5, 0, 0, 1)])
+        s = EventStream.from_events(G44, [(10, 0, 0, 1), (5, 0, 0, 1)])
         assert validate_stream(s).out_of_order == 1
 
     def test_bad_polarity(self):
-        s = make_stream(G44, [(1, 0, 0, 2)])
+        s = EventStream.from_events(G44, [(1, 0, 0, 2)])
         assert validate_stream(s).bad_polarity == 1
 
     def test_empty_is_clean(self):
@@ -106,25 +137,25 @@ class TestSliceStream:
         assert not stack.slices.any()
 
     def test_multiple_events_collapse_to_one_bit(self):
-        s = make_stream(G44, [(0, 2, 3, 1), (100, 2, 3, -1), (2400, 2, 3, 1)])
+        s = EventStream.from_events(G44, [(0, 2, 3, 1), (100, 2, 3, -1), (2400, 2, 3, 1)])
         stack = slice_stream(s, DT, 0)
         assert stack.slices[0, 3, 2]
         assert stack.slices.sum() == 1
 
     def test_half_open_boundaries(self):
-        s = make_stream(G44, [(0, 2, 3, 1), (2500, 2, 3, 1)])
+        s = EventStream.from_events(G44, [(0, 2, 3, 1), (2500, 2, 3, 1)])
         stack = slice_stream(s, DT, 0)
         assert stack.slices[0, 3, 2] and stack.slices[1, 3, 2]
         assert stack.slices.sum() == 2
 
     def test_events_outside_window_skipped(self):
-        s = make_stream(G44, [(0, 0, 0, 1), (20_000, 1, 1, 1), (30_000, 2, 2, 1)])
+        s = EventStream.from_events(G44, [(0, 0, 0, 1), (20_000, 1, 1, 1), (30_000, 2, 2, 1)])
         stack = slice_stream(s, DT, 0)
         assert stack.slices[0, 0, 0]
         assert stack.slices.sum() == 1
 
     def test_window_start_offsets_slices(self):
-        s = make_stream(G44, [(20_000, 1, 1, 1), (22_500, 2, 2, 1)])
+        s = EventStream.from_events(G44, [(20_000, 1, 1, 1), (22_500, 2, 2, 1)])
         stack = slice_stream(s, DT, 20_000)
         assert stack.window_start == 20_000
         assert stack.slices[0, 1, 1] and stack.slices[1, 2, 2]
@@ -140,7 +171,7 @@ class TestSliceStream:
 
     def test_polarity_invariance(self):
         s = random_stream(G44, 200, DT.window_duration, seed=3)
-        flipped = EventStream.from_arrays(G44, s.t, s.x, s.y, -s.p)
+        flipped = EventStream(G44, s.t, s.x, s.y, -s.p)
         assert slice_stream(s, DT, 0) == slice_stream(flipped, DT, 0)
 
     def test_duplication_idempotent(self):
@@ -158,19 +189,25 @@ class TestSliceStream:
 
 class TestMergeSortedByTime:
     def test_ties_keep_argument_order(self):
-        a = make_stream(G44, [(5, 0, 0, 1)])
-        b = make_stream(G44, [(5, 1, 1, -1)])
+        a = EventStream.from_events(G44, [(5, 0, 0, 1)])
+        b = EventStream.from_events(G44, [(5, 1, 1, -1)])
         merged = merge_sorted_by_time(G44, a, b)
         assert list(merged.x) == [0, 1]
 
     def test_sorts_by_time(self):
-        a = make_stream(G44, [(10, 0, 0, 1)])
-        b = make_stream(G44, [(5, 1, 1, -1)])
+        a = EventStream.from_events(G44, [(10, 0, 0, 1)])
+        b = EventStream.from_events(G44, [(5, 1, 1, -1)])
         merged = merge_sorted_by_time(G44, a, b)
         assert list(merged.t) == [5, 10]
 
     def test_empty_input(self):
         assert len(merge_sorted_by_time(G44)) == 0
+
+    def test_parts_need_not_be_sorted(self):
+        a = EventStream.from_events(G44, [(9, 0, 0, 1), (3, 1, 0, 1)])
+        b = EventStream.from_events(G44, [(3, 2, 0, 1), (1, 3, 0, 1)])
+        merged = merge_sorted_by_time(G44, a, b)
+        assert list(merged) == [(1, 3, 0, 1), (3, 1, 0, 1), (3, 2, 0, 1), (9, 0, 0, 1)]
 
 
 class TestBinarySliceStack:

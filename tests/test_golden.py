@@ -1,0 +1,78 @@
+"""Golden hashes of written event files.
+
+Each case writes a stream with ``write_events`` in both formats and
+compares the SHA-256 of the bytes with a digest recorded from an earlier
+version of the package. Any change to event order, tie-breaking, values
+or file layout changes a digest. The noise cases use slices of a few µs
+at p >= 0.1, so one slice holds many noise events with the same
+timestamp, and signal events tie with noise events.
+"""
+
+import hashlib
+
+import pytest
+
+from evtbr.events import SensorGeometry
+from evtbr.io import EventFileFormat, write_events
+from evtbr.noise import NoiseConfig, inject_noise, merge_noise_recording, noise_only_stream
+from evtbr.synth import SceneKind, SynthScene, generate
+
+
+def _scene(kind=SceneKind.MOVING_BAR, geometry=SensorGeometry(16, 12), duration=1_500):
+    return SynthScene(kind, geometry, velocity=4_000.0, duration=duration, seed=5, emission_period=500)
+
+
+def _generate():
+    return generate(_scene())
+
+
+def _inject():
+    return inject_noise(_generate(), NoiseConfig(probability=0.25, slice_duration=3, rng_seed=7))
+
+
+def _noise_only():
+    return noise_only_stream(
+        NoiseConfig(probability=0.5, slice_duration=2, rng_seed=11), SensorGeometry(8, 6), (0, 200)
+    )
+
+
+def _merge_recording():
+    signal = generate(_scene(SceneKind.MOVING_DOT, duration=3_000))
+    recording = noise_only_stream(
+        NoiseConfig(probability=0.1, slice_duration=4, rng_seed=3), SensorGeometry(8, 6), (0, 150)
+    )
+    return merge_noise_recording(signal, recording, signal.geometry)
+
+
+CASES = {
+    "generate": (
+        _generate,
+        "99ad5c32ac54fa8f43d5abb9495ea8920405741c911b7dda2f71c8ff8dca227b",
+        "808269e60b244c766434fe3dea803331dc279bc3d17ea5969ae27c980cb10cd1",
+    ),
+    "inject_noise": (
+        _inject,
+        "e02cdecaa1bd7a0daa1675a0c24f36176160febf26727c7c6e8cf10bb4f15750",
+        "160a06069a4696e1b2611e6487da5fe592e4730534191a7ce2e407cb47ccbb08",
+    ),
+    "noise_only": (
+        _noise_only,
+        "5e2f70abee47c17048776bffdca7cbbf0c7b64acb9dcb353a08b509c5fdaffb5",
+        "057745f76f1f2d487a79523ffcdc68415483127abe5292dd2d48a3c49e311349",
+    ),
+    "merge_recording": (
+        _merge_recording,
+        "4efe4546aa7c82c2cf61a7f74558cb064e6eafaf9223a44de93315a2c2da8361",
+        "65bcd279c72504e492cdea447523004d8c2886192f198510aebce8587a0fc0d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("fmt", [EventFileFormat.BINARY_V1, EventFileFormat.TEXT_CSV])
+def test_written_events_match_golden_hash(tmp_path, name, fmt):
+    build, binary_sha, csv_sha = CASES[name]
+    path = tmp_path / "events"
+    write_events(build(), path, fmt)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == (binary_sha if fmt is EventFileFormat.BINARY_V1 else csv_sha)

@@ -22,7 +22,7 @@ from evtbr.io import (
     write_frame,
 )
 
-from helpers import make_stream, random_stack, random_stream
+from helpers import random_stack, random_stream
 
 G = SensorGeometry(4, 4)
 
@@ -105,10 +105,49 @@ class TestCsvRead:
         with pytest.raises(EventFileError, match="line 5.*earlier"):
             read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
 
+    def test_earliest_faulty_line_is_reported(self, tmp_path):
+        f = tmp_path / "ev.csv"
+        f.write_text("t_us,x,y,p\n0,0,0,1\n10,4,0,1\n5,0,0,2\n")
+        with pytest.raises(EventFileError, match="line 3: event \\(4, 0\\) outside"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
+    def test_value_fault_before_unparsable_line_is_reported(self, tmp_path):
+        f = tmp_path / "ev.csv"
+        f.write_text("t_us,x,y,p\n0,0,0,1\n5,0,0,0\nbad\n")
+        with pytest.raises(EventFileError, match="line 3: polarity"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
+    def test_check_order_decides_within_one_line(self, tmp_path):
+        f = tmp_path / "ev.csv"
+        f.write_text("t_us,x,y,p\n-1,9,0,3\n")
+        with pytest.raises(EventFileError, match="line 2: polarity must be -1 or 1, got 3"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            (f"0,{2**70},0,1", f"event \\({2**70}, 0\\) outside"),
+            (f"0,0,0,{-2**70}", "polarity"),
+            (f"{-2**70},0,0,1", "negative timestamp"),
+            (f"{2**70},0,0,1", "timestamp exceeds 2\\^63"),
+        ],
+    )
+    def test_values_beyond_int64_are_reported(self, tmp_path, line, reason):
+        f = tmp_path / "ev.csv"
+        f.write_text(f"t_us,x,y,p\n0,0,0,1\n{line}\n")
+        with pytest.raises(EventFileError, match=f"line 3: {reason}"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
+    def test_earlier_fault_wins_over_value_beyond_int64(self, tmp_path):
+        f = tmp_path / "ev.csv"
+        f.write_text(f"t_us,x,y,p\n0,0,0,0\n{2**70},0,0,1\n")
+        with pytest.raises(EventFileError, match="line 2: polarity"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
 
 class TestCsvWrite:
     def test_exact_bytes(self, tmp_path):
-        stream = make_stream(G, [(0, 1, 2, 1), (2500, 3, 0, -1)])
+        stream = EventStream.from_events(G, [(0, 1, 2, 1), (2500, 3, 0, -1)])
         f = tmp_path / "ev.csv"
         write_events(stream, f, EventFileFormat.TEXT_CSV)
         assert f.read_bytes() == b"t_us,x,y,p\n0,1,2,1\n2500,3,0,-1\n"
@@ -211,6 +250,22 @@ class TestBinaryRead:
         with pytest.raises(EventFileError, match=f"byte {12 + 2 * 13}.*earlier"):
             read_events(f, EventFileFormat.BINARY_V1)
 
+    def test_earliest_faulty_record_is_reported(self, tmp_path):
+        f = tmp_path / "ev.bin"
+        f.write_bytes(
+            binary_header()
+            + binary_record(0, 4, 0, 1)
+            + binary_record(10, 1, 1, 0)
+        )
+        with pytest.raises(EventFileError, match="byte 12: event \\(4, 0\\) outside"):
+            read_events(f, EventFileFormat.BINARY_V1)
+
+    def test_check_order_decides_within_one_record(self, tmp_path):
+        f = tmp_path / "ev.bin"
+        f.write_bytes(binary_header() + binary_record(2**63, 9, 0, 5))
+        with pytest.raises(EventFileError, match="byte 12: polarity must be -1 or 1, got 5"):
+            read_events(f, EventFileFormat.BINARY_V1)
+
 
 class TestBinaryWrite:
     def test_round_trip_large(self, tmp_path):
@@ -225,8 +280,7 @@ class TestBinaryWrite:
 
     def test_coordinates_above_u16_rejected(self, tmp_path):
         geometry = SensorGeometry(70_000, 4)
-        arr = np.array([(0, 66_000, 0, 1)], dtype=EventStream.empty(geometry).events.dtype)
-        stream = EventStream(geometry, arr)
+        stream = EventStream.from_events(geometry, [(0, 66_000, 0, 1)])
         with pytest.raises(EventFileError, match="u16"):
             write_events(stream, tmp_path / "ev.bin", EventFileFormat.BINARY_V1)
 
@@ -335,25 +389,25 @@ class TestStreamInfo:
         # 1000 events over exactly half a second is 2000 events/s.
         rows = [(i * 500, i % 4, (i // 4) % 4, 1) for i in range(999)]
         rows.append((500_000, 3, 3, 1))
-        info = stream_info(make_stream(G, rows))
+        info = stream_info(EventStream.from_events(G, rows))
         assert info.event_count == 1000
         assert info.duration_us == 500_000
         assert info.events_per_second == pytest.approx(2000.0)
 
     def test_polarity_split(self):
         rows = [(i, 0, 0, 1) for i in range(600)] + [(600 + i, 1, 1, -1) for i in range(400)]
-        info = stream_info(make_stream(G, rows))
+        info = stream_info(EventStream.from_events(G, rows))
         assert info.positive_count == 600
         assert info.negative_count == 400
 
     def test_zero_duration_zero_rate(self):
-        info = stream_info(make_stream(G, [(100, 0, 0, 1), (100, 1, 1, 1)]))
+        info = stream_info(EventStream.from_events(G, [(100, 0, 0, 1), (100, 1, 1, 1)]))
         assert info.duration_us == 0
         assert info.events_per_second == 0.0
 
     def test_active_pixels_deduplicated(self):
         rows = [(0, 0, 0, 1), (1, 0, 0, 1), (2, 1, 0, 1), (3, 0, 1, -1)]
-        assert stream_info(make_stream(G, rows)).active_pixel_count == 3
+        assert stream_info(EventStream.from_events(G, rows)).active_pixel_count == 3
 
     def test_empty_stream(self):
         info = stream_info(EventStream.empty(G))
@@ -361,6 +415,6 @@ class TestStreamInfo:
         assert info.summary().startswith("events=0 ")
 
     def test_summary_fields_present(self):
-        s = stream_info(make_stream(G, [(0, 0, 0, 1)])).summary()
+        s = stream_info(EventStream.from_events(G, [(0, 0, 0, 1)])).summary()
         for key in ("events=", "duration_us=", "rate_eps=", "pos=", "neg=", "active_pixels="):
             assert key in s

@@ -100,11 +100,11 @@ class TestMovingBar:
         for s in np.unique(stream.t // period):
             start = int(s) * period
             lead, trail = bar_edge_columns(sc, start)
-            in_slice = stream.events[(stream.t >= start) & (stream.t < start + period)]
-            cols = set(in_slice["x"].tolist())
+            in_slice = stream[(stream.t >= start) & (stream.t < start + period)]
+            cols = set(in_slice.x.tolist())
             assert cols.issubset({lead, trail})
-            pos_cols = set(in_slice["x"][in_slice["p"] == 1].tolist())
-            neg_cols = set(in_slice["x"][in_slice["p"] == -1].tolist())
+            pos_cols = set(in_slice.x[in_slice.p == 1].tolist())
+            neg_cols = set(in_slice.x[in_slice.p == -1].tolist())
             assert pos_cols.issubset({lead})
             assert neg_cols.issubset({trail})
 
@@ -115,7 +115,7 @@ class TestMovingBar:
                    events_per_edge_pixel_per_slice=50.0)
         stream = generate(sc)
         lead, _ = bar_edge_columns(sc, 0)
-        rows = set(stream.events[stream.x == lead]["y"].tolist())
+        rows = set(stream.y[stream.x == lead].tolist())
         assert rows == set(range(64))
 
     def test_sweep_covers_all_columns(self):
@@ -123,7 +123,7 @@ class TestMovingBar:
         sc = scene(SceneKind.MOVING_BAR, velocity=64.0, duration=1_000_000,
                    events_per_edge_pixel_per_slice=5.0)
         stream = generate(sc)
-        assert set(stream.events[stream.p == 1]["x"].tolist()) == set(range(64))
+        assert set(stream.x[stream.p == 1].tolist()) == set(range(64))
 
     def test_mean_event_count_tracks_rate(self):
         # 2 edge columns x 64 rows x 40 slices at rate 3 gives 15360 expected
@@ -169,12 +169,12 @@ class TestMovingDot:
         for s in np.unique(stream.t // period):
             start = int(s) * period
             x0 = ((64 - side) // 2 + sc.offset_at(start)) % 64
-            in_slice = stream.events[(stream.t >= start) & (stream.t < start + period)]
-            assert set(in_slice["x"][in_slice["p"] == 1].tolist()).issubset(
+            in_slice = stream[(stream.t >= start) & (stream.t < start + period)]
+            assert set(in_slice.x[in_slice.p == 1].tolist()).issubset(
                 {(x0 + side - 1) % 64}
             )
-            assert set(in_slice["x"][in_slice["p"] == -1].tolist()).issubset({x0})
-            assert (in_slice["y"] >= y0).all() and (in_slice["y"] < y0 + side).all()
+            assert set(in_slice.x[in_slice.p == -1].tolist()).issubset({x0})
+            assert (in_slice.y >= y0).all() and (in_slice.y < y0 + side).all()
 
 
 class TestBlinkingGrid:
@@ -190,8 +190,8 @@ class TestBlinkingGrid:
         cell = sc.size
         for s in (0, 1):
             start = s * sc.emission_period
-            in_slice = stream.events[(stream.t >= start) & (stream.t < start + sc.emission_period)]
-            cell_parity = (in_slice["y"] // cell + in_slice["x"] // cell + s) % 2
+            in_slice = stream[(stream.t >= start) & (stream.t < start + sc.emission_period)]
+            cell_parity = (in_slice.y // cell + in_slice.x // cell + s) % 2
             assert (cell_parity == 0).all()
 
     def test_events_on_cell_perimeters_only(self):
