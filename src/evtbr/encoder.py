@@ -25,7 +25,8 @@ hands each window only its own events as a zero-copy slice.
 
 No slice stack is built on the encode path: each window ORs its bits into
 one preallocated uint32 code array in place, per event in plain mode and
-per slice of spike frames in spike mode. :func:`encode_tbr` and
+per fired neuron (:attr:`NeuronGrid.fired`, by flat index) after each
+micro step in spike mode. :func:`encode_tbr` and
 :func:`decode_tbr` remain the lossless conversion between a
 :class:`BinarySliceStack` and its codes.
 """
@@ -179,9 +180,9 @@ def encode_window_spike_tbr(
     """Spike-mode encoding of one window using (and mutating) ``grid``.
 
     Per slice: events are binned into K micro steps, each micro step drives
-    one neuron update, and the slice's digit is the OR of the emitted spike
-    frames, written into the codes in place. Membrane state carries over
-    into the next slice and window.
+    one neuron update, and the slice's digit is set on every neuron that
+    fired in any of them, by flat index into the codes. Membrane state
+    carries over into the next slice and window.
     """
     if grid.geometry != stream.geometry:
         raise ValueError(
@@ -204,21 +205,13 @@ def encode_window_spike_tbr(
     events = StepInput.from_events(geometry, x[lo:hi], y[lo:hi], p[lo:hi], grid.config)
     weights, pixels = events.values, events.pixels
 
-    codes = np.zeros(geometry.shape, dtype=np.uint32)
-    spikes_before = grid.spike_count
-    for i in range(n):
-        steps = zip(bounds[i * k : (i + 1) * k], bounds[i * k + 1 : (i + 1) * k + 1])
-        fired = grid.spike_window(
-            StepInput(weights[a:b], b - a, pixels[a:b]) for a, b in steps
-        )
-        # The spike tally tells, without a scan, whether any pixel fired and
-        # at most how many: a masked OR suits a few, a full pass suits many.
-        spikes, spikes_before = grid.spike_count - spikes_before, grid.spike_count
-        if 64 * spikes >= geometry.pixel_count:
-            codes |= fired.astype(np.uint32) << np.uint32(i)
-        elif spikes:
-            np.bitwise_or(codes, np.uint32(1 << i), out=codes, where=fired)
-    return EncodedFrame(geometry, n, codes, window_start)
+    codes = np.zeros(geometry.pixel_count, dtype=np.uint32)
+    for j in range(n * k):
+        a, b = bounds[j], bounds[j + 1]
+        grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
+        if len(grid.fired):
+            codes[grid.fired] |= np.uint32(1 << (j // k))
+    return EncodedFrame(geometry, n, codes.reshape(geometry.shape), window_start)
 
 
 def encode_stream(

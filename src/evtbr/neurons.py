@@ -26,11 +26,14 @@ event cannot fire a neuron: charge from at least two events must meet on
 the membrane before it has fully leaked away. That is the noise filter the
 spike-based encoder builds on.
 
-Cost per step: the input term is O(events in the step). A step built by
+Cost per step: only the leak is dense, O(pixels). A step built by
 :meth:`StepInput.from_events` carries one weight per event and its flat
 pixel index, and the grid adds those weights to the touched membranes
-only. The leak, the threshold test and the reset stay dense, O(pixels),
-so every neuron is updated every step exactly as written above.
+only. With ``v_rest == 0`` and fewer than one event per 16 pixels, the
+threshold test, the reset and the recurrent feedback touch only the
+step's input pixels and the previous step's spikers, O(events); other
+steps test every membrane. Both ways every neuron follows the update
+above exactly.
 
 Accounting: the grid counts one accumulate operation (AC) per event
 integrated plus one per recurrent feedback addition actually applied, and
@@ -51,6 +54,8 @@ from .events import SensorGeometry
 
 SpikeFrame = np.ndarray
 """(H, W) boolean array: True where a neuron fired during a step."""
+
+_NONE_FIRED = np.empty(0, dtype=np.intp)
 
 
 class NeuronVariant(str, Enum):
@@ -158,49 +163,71 @@ class NeuronGrid:
         self.geometry = geometry
         self.config = config
         self.v = np.full(geometry.shape, config.v_rest, dtype=np.float64)
-        self._feedback = np.zeros(geometry.shape, dtype=np.float64)
+        # Flat indices of the neurons that fired on the last step.
+        self.fired = _NONE_FIRED
         # Per-pixel weight sums of a sparse step; all zero between steps.
         self._scratch = np.zeros(geometry.pixel_count, dtype=np.float64)
         self.ac_count = 0
         self.spike_count = 0
 
     def step(self, inp: StepInput) -> SpikeFrame:
-        """Advance every neuron by one timestep; return the spike frame."""
-        if inp.pixels is None and inp.values.shape != self.geometry.shape:
+        """Advance every neuron by one timestep; return the spike frame.
+
+        ``fired`` then holds the ascending flat indices (``y * width + x``)
+        of the neurons that fired. With a sparse input of fewer than one
+        event per 16 pixels and ``v_rest == 0``, the threshold is tested
+        only on the input's pixels and, for ``reclif`` and ``lrlif``, on the
+        previous step's spikers: the leak then never raises a membrane
+        (``beta * v <= max(v, 0)``), so no other neuron can cross. This
+        relies on each step leaving every membrane but its spikers' below
+        ``v_th``; a membrane written directly at or above ``v_th`` is only
+        caught by a step that tests them all.
+        """
+        pixels = inp.pixels
+        if pixels is None and inp.values.shape != self.geometry.shape:
             raise ValueError(
                 f"input shape {inp.values.shape} does not match grid {self.geometry.shape}"
             )
         cfg = self.config
-        v = self.v
+        v = self.v.reshape(-1)
+        prev = self.fired
+        # Below one event per 16 pixels scattered adds beat a full histogram.
+        sparse = pixels is not None and 16 * len(pixels) < v.size
 
         # Leak before integrating: the input arriving in this step is taken
         # at full strength.
         self._leak()
-        if inp.pixels is None:
-            v += inp.values
-        elif len(inp.pixels):
-            self._add_sparse(inp.pixels, inp.values)
+        if pixels is None:
+            self.v += inp.values
+        elif not sparse:
+            v += np.bincount(pixels, inp.values, v.size)
+        elif len(pixels):
+            self._add_sparse(v, pixels, inp.values)
         self.ac_count += inp.event_count
 
-        if cfg.variant is NeuronVariant.REC_LIF:
-            applied = int(np.count_nonzero(self._feedback))
-            if applied:
-                v += self._feedback
-                self.ac_count += applied
+        if cfg.variant is NeuronVariant.REC_LIF and len(prev):
+            v[prev] += 1.0
+            self.ac_count += len(prev)
 
-        spikes = v >= cfg.v_th
-        fired = int(np.count_nonzero(spikes))
-        if fired:
+        if sparse and cfg.v_rest == 0.0:
+            if cfg.variant in (NeuronVariant.REC_LIF, NeuronVariant.LR_LIF) and len(prev):
+                pixels = np.concatenate((pixels, prev))
+            fired = pixels[v[pixels] >= cfg.v_th]
+            if len(fired) > 1:  # np.unique costs microseconds even on empty arrays
+                fired = np.unique(fired)
+            spikes = np.zeros(v.size, dtype=np.bool_)
+            spikes[fired] = True
+        else:
+            spikes = v >= cfg.v_th
+            fired = np.flatnonzero(spikes)
+        if len(fired):
             if cfg.variant.hard_reset:
-                v[spikes] = cfg.v_rest
+                v[fired] = cfg.v_rest
             else:
-                v[spikes] -= cfg.v_th
-
-        if cfg.variant is NeuronVariant.REC_LIF:
-            self._feedback = spikes.astype(np.float64)
-
-        self.spike_count += fired
-        return spikes
+                v[fired] -= cfg.v_th
+        self.fired = fired
+        self.spike_count += len(fired)
+        return spikes.reshape(self.geometry.shape)
 
     def spike_window(self, micro_inputs: Iterable[StepInput] | Sequence[StepInput]) -> SpikeFrame:
         """Run one step per micro input and OR the spike frames together.
@@ -232,22 +259,16 @@ class NeuronGrid:
             self._leak()
         return self
 
-    def _add_sparse(self, pixels: np.ndarray, weights: np.ndarray) -> None:
-        """Add each touched pixel's weight sum to its membrane once.
+    def _add_sparse(self, v: np.ndarray, pixels: np.ndarray, weights: np.ndarray) -> None:
+        """Add each touched pixel's weight sum to its flat membrane ``v`` once.
 
         The sums build up in event order from +0.0, as ``np.bincount``
         would, so the membranes match a dense step bit for bit (an untouched
         membrane skips ``+ 0.0``, which can only flip the sign of a zero).
-        With at least one event per 16 pixels a full histogram is cheaper
-        than scattered adds, and it is still O(events).
         """
         scratch = self._scratch
-        if 16 * len(pixels) >= scratch.size:
-            self.v += np.bincount(pixels, weights, scratch.size).reshape(self.v.shape)
-            return
         np.add.at(scratch, pixels, weights)
-        flat_v = self.v.reshape(-1)
-        flat_v[pixels] += scratch[pixels]
+        v[pixels] += scratch[pixels]
         scratch[pixels] = 0.0
 
     def _leak(self) -> None:
@@ -261,9 +282,9 @@ class NeuronGrid:
             self.v += cfg.v_rest
 
     def reset(self) -> None:
-        """Return every membrane to rest and clear pending feedback."""
+        """Return every membrane to rest and clear the pending spikers."""
         self.v.fill(self.config.v_rest)
-        self._feedback.fill(0.0)
+        self.fired = _NONE_FIRED
 
     def clear_counters(self) -> None:
         """Zero the AC and spike tallies (state is left untouched)."""

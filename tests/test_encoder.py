@@ -313,6 +313,29 @@ class TestEncodeStream:
             for name in "txyp":
                 assert np.shares_memory(getattr(window, name), getattr(stream, name))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_spike_mode_advances_the_grid_through_step(self, monkeypatch, k):
+        # The benchmark's neuron counters wrap NeuronGrid.step by name, so
+        # every micro step must go through it: windows x N x K calls.
+        calls, spikes = [], []
+        step = NeuronGrid.step
+
+        def counting_step(grid, inp):
+            calls.append(inp.event_count)
+            frame = step(grid, inp)
+            spikes.append(int(frame.sum()))
+            return frame
+
+        monkeypatch.setattr(NeuronGrid, "step", counting_step)
+        stream = random_stream(SensorGeometry(32, 24), n_events=3000, duration=80_000, seed=3)
+        grid = NeuronGrid(stream.geometry, NeuronConfig(beta=0.9, v_th=1.1))
+        cfg = EncoderConfig(SLICING, EncoderMode.SPIKE_TBR, grid.config, micro_steps_per_slice=k)
+        frames = encode_stream(stream, cfg, grid, n_windows=6)  # the last two are empty
+        assert len(frames) == 6
+        assert len(calls) == 6 * SLICING.bits_per_frame * k
+        assert sum(calls) == grid.ac_count == len(stream)
+        assert sum(spikes) == grid.spike_count > 0
+
     def test_whole_stream_equals_per_window_concatenation(self):
         stream = random_stream(G, n_events=400, duration=80_000, seed=7)
         frames = encode_stream(stream, CFG_TBR)

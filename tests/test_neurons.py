@@ -112,12 +112,13 @@ def sparse_step_cases(draw):
         beta=draw(st.sampled_from([0.3, 0.5, 0.9, 1.0])),
         v_th=draw(st.sampled_from([0.9, 1.1, 1.6])),
         v_rest=draw(st.sampled_from([0.0, 0.3, -0.2])),
-        weight_pos=draw(st.sampled_from([1.0, 0.7])),
+        weight_pos=draw(st.sampled_from([1.0, 0.7, 2.5])),
         weight_neg=draw(st.sampled_from([1.0, 0.45, -0.6, -1.3])),
     )
-    # 40x30 keeps every step below one event per 16 pixels (scattered adds);
+    # 40x30 and 64x48 keep every step below one event per 16 pixels
+    # (scattered adds, and the candidate threshold test when v_rest == 0);
     # 4x4 sends every non-empty step through the full histogram.
-    geometry = SensorGeometry(*draw(st.sampled_from([(4, 4), (16, 8), (40, 30)])))
+    geometry = SensorGeometry(*draw(st.sampled_from([(4, 4), (16, 8), (40, 30), (64, 48)])))
     pixel = st.tuples(st.integers(0, geometry.width - 1), st.integers(0, geometry.height - 1))
     pool = draw(st.lists(pixel, min_size=1, max_size=5))
     event = st.tuples(st.sampled_from(pool), st.sampled_from([1, -1]))
@@ -140,7 +141,10 @@ class TestSparseStepInput:
             w = np.where(p > 0, cfg.weight_pos, cfg.weight_neg)
             sums = np.bincount(y * geometry.width + x, weights=w, minlength=geometry.pixel_count)
             dense_inp = StepInput(sums.reshape(geometry.shape), len(events))
-            assert np.array_equal(sparse.step(inp), dense.step(dense_inp))
+            frame = sparse.step(inp)
+            assert np.array_equal(frame, dense.step(dense_inp))
+            assert np.array_equal(sparse.fired, np.flatnonzero(frame))
+            assert np.array_equal(dense.fired, np.flatnonzero(frame))
             assert np.array_equal(sparse.v, dense.v)
         assert sparse.ac_count == dense.ac_count
         assert sparse.spike_count == dense.spike_count
@@ -158,10 +162,73 @@ class TestSparseStepInput:
     def test_empty_sparse_input_only_leaks(self):
         grid = NeuronGrid(G, NeuronConfig(beta=0.5))
         grid.v[:] = 1.0
-        empty = np.array([], dtype=np.int64)
-        inp = StepInput.from_events(G, empty, empty, empty, grid.config)
-        assert not grid.step(inp).any()
+        assert not grid.step(empty_sparse_input(G, grid.config)).any()
         assert (grid.v == 0.5).all() and grid.ac_count == 0
+
+
+def empty_sparse_input(geometry: SensorGeometry, cfg: NeuronConfig) -> StepInput:
+    none = np.array([], dtype=np.int64)
+    return StepInput.from_events(geometry, none, none, none, cfg)
+
+
+def one_event_input(geometry: SensorGeometry, cfg: NeuronConfig, x: int, y: int) -> StepInput:
+    return StepInput.from_events(geometry, np.array([x]), np.array([y]), np.array([1]), cfg)
+
+
+class TestCandidateSet:
+    """Sparse steps test the threshold only where a neuron can cross it."""
+
+    BIG = SensorGeometry(64, 48)
+    FLAT = 7 * 64 + 5  # pixel (5, 7)
+
+    def test_lrlif_residual_fires_again_without_input(self):
+        cfg = NeuronConfig(variant=NeuronVariant.LR_LIF, beta=0.9, v_th=1.1, weight_pos=2.5)
+        grid = NeuronGrid(self.BIG, cfg)
+        assert grid.step(one_event_input(self.BIG, cfg, 5, 7))[7, 5]
+        assert grid.fired.tolist() == [self.FLAT]
+        # Residual 1.4 leaks to 1.26 >= v_th with no event on the pixel.
+        frame = grid.step(empty_sparse_input(self.BIG, cfg))
+        assert frame[7, 5] and frame.sum() == 1
+        assert grid.fired.tolist() == [self.FLAT]
+        assert grid.spike_count == 2
+
+    def test_reclif_feedback_alone_refires(self):
+        cfg = NeuronConfig(variant=NeuronVariant.REC_LIF, beta=0.5, v_th=1.0)
+        grid = NeuronGrid(self.BIG, cfg)
+        assert grid.step(one_event_input(self.BIG, cfg, 5, 7))[7, 5]
+        assert grid.ac_count == 1
+        frame = grid.step(empty_sparse_input(self.BIG, cfg))
+        assert frame[7, 5] and frame.sum() == 1
+        assert grid.fired.tolist() == [self.FLAT]
+        assert grid.ac_count == 2  # one event plus one feedback addition
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            NeuronConfig(variant=NeuronVariant.LR_LIF, beta=0.9, v_th=1.1, weight_pos=2.5),
+            NeuronConfig(variant=NeuronVariant.REC_LIF, beta=0.5, v_th=1.0),
+        ],
+        ids=["lrlif", "reclif"],
+    )
+    def test_reset_clears_pending_spikers(self, cfg):
+        grid = NeuronGrid(self.BIG, cfg)
+        grid.step(one_event_input(self.BIG, cfg, 5, 7))
+        grid.reset()
+        assert len(grid.fired) == 0
+        assert not grid.step(empty_sparse_input(self.BIG, cfg)).any()
+        assert len(grid.fired) == 0
+        assert grid.ac_count == 1 and grid.spike_count == 1
+
+    def test_nonzero_rest_rounding_fires_as_dense(self):
+        # With v_rest != 0 the leak can round a membrane up onto v_th:
+        # 0.9999999999999999 - 0.3 + 0.3 == 1.0, so the test must stay dense.
+        cfg = NeuronConfig(beta=1.0, v_th=1.0, v_rest=0.3)
+        sparse, dense = NeuronGrid(self.BIG, cfg), NeuronGrid(self.BIG, cfg)
+        sparse.v[7, 5] = dense.v[7, 5] = 0.9999999999999999
+        frame = sparse.step(empty_sparse_input(self.BIG, cfg))
+        assert frame[7, 5] and frame.sum() == 1
+        assert np.array_equal(frame, dense.step(StepInput.zeros(self.BIG)))
+        assert sparse.fired.tolist() == dense.fired.tolist() == [self.FLAT]
 
 
 class TestStep:
