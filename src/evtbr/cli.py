@@ -32,18 +32,10 @@ from .io import (
     write_events,
     write_frame,
 )
-from .metrics import format_curve_csv, frame_distance, robustness_curve
+from .metrics import format_curve_csv, frame_distance, robustness_curve, write_curve_csv
 from .neurons import NeuronConfig, NeuronVariant
 from .noise import NoiseConfig, PolarityRule, inject_noise, merge_noise_recording
 from .synth import SceneKind, SynthScene, generate
-
-_NEURON_BY_NAME = {
-    "lif": NeuronVariant.LIF,
-    "reclif": NeuronVariant.REC_LIF,
-    "lrlif": NeuronVariant.LR_LIF,
-    "plif": NeuronVariant.PLIF,
-}
-
 
 class _UsageError(Exception):
     """Flag combination error detected after argparse (exit code 2)."""
@@ -137,7 +129,7 @@ def _add_encoder_flags(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument(
         "--neuron",
-        choices=sorted(_NEURON_BY_NAME),
+        choices=sorted(v.value for v in NeuronVariant),
         default="lif",
         help="spiking variant for --mode spike-tbr (default: lif)",
     )
@@ -163,7 +155,7 @@ def _build_encoder_config(args: argparse.Namespace) -> EncoderConfig:
         if beta is None and args.tau_m is None:
             beta = 0.5
         neuron = NeuronConfig(
-            variant=_NEURON_BY_NAME[args.neuron],
+            variant=NeuronVariant(args.neuron),
             beta=beta,
             v_th=args.vth,
             v_rest=args.vrest,
@@ -271,11 +263,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     points = robustness_curve(
         scene, cfg, args.p_list, n_seeds=args.seeds, base_seed=args.base_seed
     )
-    text = format_curve_csv(points)
     if args.out is not None:
-        Path(args.out).write_bytes(text.encode("ascii"))
+        write_curve_csv(points, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_curve_csv(points))
     return 0
 
 

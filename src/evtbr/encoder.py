@@ -19,14 +19,13 @@ across the consecutive windows of one recording; it is cleared only by an
 explicit :meth:`NeuronGrid.reset`. Each slice may be subdivided into K
 micro steps (K = 1 by default) for finer integration granularity.
 
-Both modes share one window loop, :func:`encode_stream`. It locates the
-window bounds once per stream, with one search over all window edges, and
-hands each window only its own events as a zero-copy slice.
-
-No slice stack is built on the encode path: each window ORs its bits into
-one preallocated uint32 code array in place, per event in plain mode and
-per fired neuron (:attr:`NeuronGrid.fired`, by flat index) after each
-micro step in spike mode. :func:`encode_tbr` and
+Both modes share one window loop, :func:`encode_stream`, and one window
+body. The body locates the window's N*K step bounds with one search over
+the whole stream (K = 1 in plain mode), so a window costs O(log events)
+to find. Each step ORs its slice's bit in place into one preallocated
+uint32 code array, at the step's event pixels in plain mode and at the
+neurons that fired (:attr:`NeuronGrid.fired`, by flat index) in spike
+mode. No slice stack is built on the encode path: :func:`encode_tbr` and
 :func:`decode_tbr` remain the lossless conversion between a
 :class:`BinarySliceStack` and its codes.
 """
@@ -150,25 +149,11 @@ def decode_tbr(frame: EncodedFrame) -> BinarySliceStack:
 def encode_window_tbr(stream: EventStream, cfg: EncoderConfig, window_start: int) -> EncodedFrame:
     """Plain-mode encoding of one window.
 
-    Each event in the window ORs its slice's bit into its pixel's code, so
+    Each slice's bit is set on every pixel with an event in that slice, so
     the codes equal :func:`encode_tbr` of :func:`slice_stream`'s stack.
     Events outside the window are skipped.
     """
-    if window_start < 0:
-        raise ValueError(f"window_start must be non-negative, got {window_start}")
-    slicing = cfg.slicing
-    window_end = window_start + slicing.window_duration
-    if window_end > INT64_MAX:
-        raise ValueError("window extends past 64-bit microsecond range")
-
-    geometry, t = stream.geometry, stream.t
-    codes = np.zeros(geometry.pixel_count, dtype=np.uint32)
-    lo, hi = np.searchsorted(t, [window_start, window_end], side="left").tolist()
-    if hi > lo:
-        bits = np.uint32(1) << ((t[lo:hi] - window_start) // slicing.slice_duration).astype(np.uint32)
-        flat = stream.y[lo:hi].astype(np.int64) * geometry.width + stream.x[lo:hi]
-        np.bitwise_or.at(codes, flat, bits)
-    return EncodedFrame(geometry, slicing.bits_per_frame, codes.reshape(geometry.shape), window_start)
+    return _encode_window(stream, cfg, window_start, None)
 
 
 def encode_window_spike_tbr(
@@ -181,36 +166,55 @@ def encode_window_spike_tbr(
 
     Per slice: events are binned into K micro steps, each micro step drives
     one neuron update, and the slice's digit is set on every neuron that
-    fired in any of them, by flat index into the codes. Membrane state
-    carries over into the next slice and window.
+    fired in any of them. Membrane state carries over into the next slice
+    and window.
     """
     if grid.geometry != stream.geometry:
         raise ValueError(
             f"grid geometry {grid.geometry} does not match stream geometry {stream.geometry}"
         )
+    return _encode_window(stream, cfg, window_start, grid)
+
+
+def _encode_window(
+    stream: EventStream, cfg: EncoderConfig, window_start: int, grid: NeuronGrid | None
+) -> EncodedFrame:
+    """The window body of both modes; ``grid`` is None in plain mode.
+
+    Step j of the window's N*K steps sets bit ``j // K`` on its active
+    pixels: the step's event pixels in plain mode (K = 1), the neurons that
+    fired after ``grid.step`` in spike mode. The fancy-index OR is exact
+    with repeated pixels, because every write in one step ORs the same bit.
+    """
     slicing = cfg.slicing
     n = slicing.bits_per_frame
-    k = cfg.micro_steps_per_slice
-    micro_dt = slicing.slice_duration // k
+    k = 1 if grid is None else cfg.micro_steps_per_slice
     if window_start < 0 or window_start + slicing.window_duration > INT64_MAX:
         raise ValueError("window outside representable microsecond range")
 
-    # Bounds of all N*K micro steps, located with one search, relative to
-    # the window's first event.
-    edges = window_start + micro_dt * np.arange(n * k + 1, dtype=np.int64)
+    # Bounds of all N*K steps, located with one search, relative to the
+    # window's first event.
+    edges = window_start + slicing.slice_duration // k * np.arange(n * k + 1, dtype=np.int64)
     bounds = np.searchsorted(stream.t, edges, side="left")
     lo, hi = int(bounds[0]), int(bounds[-1])
     bounds = (bounds - lo).tolist()
-    geometry, x, y, p = stream.geometry, stream.x, stream.y, stream.p
-    events = StepInput.from_events(geometry, x[lo:hi], y[lo:hi], p[lo:hi], grid.config)
-    weights, pixels = events.values, events.pixels
+    geometry, x, y = stream.geometry, stream.x[lo:hi], stream.y[lo:hi]
+    if grid is None:
+        pixels = y.astype(np.int64) * geometry.width + x
+    else:
+        events = StepInput.from_events(geometry, x, y, stream.p[lo:hi], grid.config)
+        weights, pixels = events.values, events.pixels
 
     codes = np.zeros(geometry.pixel_count, dtype=np.uint32)
     for j in range(n * k):
         a, b = bounds[j], bounds[j + 1]
-        grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
-        if len(grid.fired):
-            codes[grid.fired] |= np.uint32(1 << (j // k))
+        if grid is None:
+            active = pixels[a:b]
+        else:
+            grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
+            active = grid.fired
+        if len(active):
+            codes[active] |= np.uint32(1 << (j // k))
     return EncodedFrame(geometry, n, codes.reshape(geometry.shape), window_start)
 
 
@@ -233,22 +237,21 @@ def encode_stream(
             return []
         n_windows = stream.last_t // duration + 1
     n_windows = int(n_windows)
+    if n_windows < 0:
+        raise ValueError(f"n_windows must be non-negative, got {n_windows}")
     if n_windows * duration > INT64_MAX:
         raise ValueError("window outside representable microsecond range")
 
     if cfg.mode is EncoderMode.SPIKE_TBR and grid is None:
         grid = NeuronGrid(stream.geometry, cfg.neuron)
 
-    edges = np.arange(n_windows + 1, dtype=np.int64) * duration
-    bounds = np.searchsorted(stream.t, edges, side="left").tolist()
     frames = []
     for w in range(n_windows):
-        window = stream[bounds[w] : bounds[w + 1]]
         start = w * duration
         if cfg.mode is EncoderMode.TBR:
-            frames.append(encode_window_tbr(window, cfg, start))
+            frames.append(encode_window_tbr(stream, cfg, start))
         else:
-            frames.append(encode_window_spike_tbr(window, cfg, grid, start))
+            frames.append(encode_window_spike_tbr(stream, cfg, grid, start))
     return frames
 
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -228,24 +227,6 @@ class NeuronGrid:
         self.fired = fired
         self.spike_count += len(fired)
         return spikes.reshape(self.geometry.shape)
-
-    def spike_window(self, micro_inputs: Iterable[StepInput] | Sequence[StepInput]) -> SpikeFrame:
-        """Run one step per micro input and OR the spike frames together.
-
-        The OR is what turns a slice's spike activity into a single binary
-        digit: the digit is 1 iff the neuron fired at least once during the
-        slice.
-        """
-        combined: SpikeFrame | None = None
-        for inp in micro_inputs:
-            s = self.step(inp)
-            if combined is None:
-                combined = s
-            else:
-                combined |= s
-        if combined is None:
-            raise ValueError("spike_window requires at least one micro input")
-        return combined
 
     def decay_only(self, steps: int) -> "NeuronGrid":
         """Apply ``steps`` zero-input leak updates without thresholding.

@@ -2,11 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from evtbr.cli import main
-from evtbr.events import EventStream, SensorGeometry
-from evtbr.io import EventFileFormat, read_events, write_events
+from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
+from evtbr.events import EventStream, SensorGeometry, SlicingConfig
+from evtbr.io import EventFileFormat, read_events, read_frame, write_events
+from evtbr.neurons import NeuronConfig, NeuronVariant
 
 
 SMALL_SYNTH = [
@@ -144,6 +147,33 @@ class TestEncode:
         assert run(argv) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("variant", list(NeuronVariant))
+    def test_neuron_flag_selects_variant(self, tmp_path, capsys, variant):
+        stream_file = synth_file(tmp_path)
+        out_dir = tmp_path / "d"
+        argv = [
+            "encode", "--in", str(stream_file), "--out-dir", str(out_dir),
+            "--mode", "spike-tbr", "--neuron", variant.value, "--beta", "0.5", "--vth", "1.5",
+        ]
+        assert run(argv) == 0
+        capsys.readouterr()
+        neuron = NeuronConfig(variant=variant, beta=0.5, v_th=1.5)
+        cfg = EncoderConfig(SlicingConfig(2_500, 8), EncoderMode.SPIKE_TBR, neuron)
+        frames = encode_stream(read_events(stream_file, EventFileFormat.BINARY_V1), cfg)
+        written = [read_frame(f).codes for f in sorted(out_dir.glob("*.pgm"))]
+        assert len(written) == len(frames) == 3
+        for got, want in zip(written, frames):
+            assert np.array_equal(got, want.codes)
+
+    def test_unknown_neuron_is_usage_error_listing_sorted_names(self, tmp_path, capsys):
+        stream_file = synth_file(tmp_path)
+        capsys.readouterr()
+        argv = ["encode", "--in", str(stream_file), "--out-dir", str(tmp_path / "d")]
+        assert run(argv + ["--neuron", "izh"]) == 2
+        err = capsys.readouterr().err
+        listed = err[err.index("choose from"):]
+        positions = [listed.index(name) for name in ("lif", "lrlif", "plif", "reclif")]
+        assert positions == sorted(positions)
 
     @pytest.mark.parametrize(
         "flags,message",

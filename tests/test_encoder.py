@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtbr import encoder
 from evtbr.encoder import (
     EncodedFrame,
     EncoderConfig,
@@ -14,7 +13,7 @@ from evtbr.encoder import (
     encode_window_spike_tbr,
     encode_window_tbr,
 )
-from evtbr.events import BinarySliceStack, EventStream, SensorGeometry, SlicingConfig
+from evtbr.events import BinarySliceStack, EventStream, SensorGeometry, SlicingConfig, slice_stream
 from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant
 
 from helpers import random_stack, random_stream
@@ -298,21 +297,6 @@ class TestEncodeStream:
         assert not frames[0].codes.any()
         assert frames[1].codes[1, 1] == 1
 
-    def test_windows_are_zero_copy_slices(self, monkeypatch):
-        stream = random_stream(G, n_events=400, duration=80_000, seed=7)
-        windows = []
-
-        def capture(window, cfg, start):
-            windows.append(window)
-            return encode_window_tbr(window, cfg, start)
-
-        monkeypatch.setattr(encoder, "encode_window_tbr", capture)
-        encode_stream(stream, CFG_TBR)
-        assert sum(len(w) for w in windows) == len(stream)
-        for window in windows:
-            for name in "txyp":
-                assert np.shares_memory(getattr(window, name), getattr(stream, name))
-
     @pytest.mark.parametrize("k", [1, 2])
     def test_spike_mode_advances_the_grid_through_step(self, monkeypatch, k):
         # The benchmark's neuron counters wrap NeuronGrid.step by name, so
@@ -344,6 +328,11 @@ class TestEncodeStream:
             window = stream[(stream.t >= start) & (stream.t < start + SLICING.window_duration)]
             solo = encode_window_tbr(window, CFG_TBR, start)
             assert frame == solo
+
+    def test_negative_window_count_is_rejected(self):
+        stream = EventStream.from_events(G, [(0, 1, 1, 1)])
+        with pytest.raises(ValueError, match="non-negative"):
+            encode_stream(stream, CFG_TBR, n_windows=-2)
 
     def test_last_window_past_int64_is_rejected(self):
         stream = EventStream.from_events(G, [(0, 1, 1, 1)])
@@ -411,6 +400,49 @@ class TestReferenceEncoder:
         assert [f.codes.tolist() for f in frames] == reference_encode(
             list(stream), stream.geometry, cfg, n_windows
         )
+
+
+@st.composite
+def offset_window_cases(draw):
+    """A small sorted stream, a slicing, K and a window start off the slice grid.
+
+    Windows fall before, after and across the events; some events sit
+    exactly on the window's micro-step edges.
+    """
+    k = draw(st.sampled_from([1, 2, 4]))
+    slicing = SlicingConfig(4 * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    micro_dt = slicing.slice_duration // k
+    span = 3 * slicing.window_duration
+    window_start = draw(st.integers(0, span))
+    geometry = SensorGeometry(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    edge = st.integers(-slicing.bits_per_frame * k, 2 * slicing.bits_per_frame * k)
+    t = st.one_of(
+        st.integers(0, span),
+        edge.map(lambda m: max(0, window_start + m * micro_dt)),
+    )
+    event = st.tuples(
+        t,
+        st.integers(0, geometry.width - 1),
+        st.integers(0, geometry.height - 1),
+        st.sampled_from([1, -1]),
+    )
+    rows = sorted(draw(st.lists(event, max_size=30)), key=lambda row: row[0])
+    return EventStream.from_events(geometry, rows), slicing, k, window_start
+
+
+class TestWindowStart:
+    @settings(max_examples=200)
+    @given(offset_window_cases(), st.sampled_from([0.3, 0.5, 1.0]))
+    def test_window_encoders_match_slice_stack(self, case, beta):
+        # LIF at v_th = 1.0 with unit weights fires exactly on the micro
+        # steps that hold an event, so both modes give the plain codes.
+        stream, slicing, k, window_start = case
+        expected = encode_tbr(slice_stream(stream, slicing, window_start))
+        assert encode_window_tbr(stream, EncoderConfig(slicing), window_start) == expected
+        neuron = NeuronConfig(variant=NeuronVariant.LIF, beta=beta, v_th=1.0)
+        cfg = EncoderConfig(slicing, EncoderMode.SPIKE_TBR, neuron, micro_steps_per_slice=k)
+        spike = spike_encode(stream, cfg, window_start=window_start)
+        assert spike == expected
 
 
 class TestWideGrid:

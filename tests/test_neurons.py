@@ -353,34 +353,6 @@ class TestReset:
         assert np.array_equal(grid.v, v1)
 
 
-class TestSpikeWindow:
-    def test_zero_inputs_zero_output(self):
-        grid = NeuronGrid(G, NeuronConfig(beta=0.5))
-        out = grid.spike_window([StepInput.zeros(G)] * 4)
-        assert not out.any()
-
-    def test_single_spike_pixel(self):
-        grid = NeuronGrid(G, NeuronConfig(beta=0.5))
-        out = grid.spike_window([one_pixel_input(2.0)])
-        assert out[1, 1] and out.sum() == 1
-
-    @pytest.mark.parametrize("gap,fires", [(1, True), (2, True), (3, True), (4, False),
-                                           (5, False), (6, False), (7, False), (8, False)])
-    def test_two_event_gap_threshold(self, gap, fires):
-        # beta=0.5, v_th=1.1: 0.5**gap + 1 >= 1.1 only while gap <= 3.
-        grid = NeuronGrid(G, NeuronConfig(beta=0.5))
-        inputs = [one_pixel_input(1.0)]
-        inputs += [StepInput.zeros(G)] * (gap - 1)
-        inputs += [one_pixel_input(1.0)]
-        out = grid.spike_window(inputs)
-        assert bool(out[1, 1]) is fires
-
-    def test_empty_inputs_rejected(self):
-        grid = NeuronGrid(G, NeuronConfig(beta=0.5))
-        with pytest.raises(ValueError):
-            grid.spike_window([])
-
-
 class TestRecurrentFeedback:
     def test_feedback_adds_one_spike_unit_next_step(self):
         rec = NeuronGrid(G, NeuronConfig(variant=NeuronVariant.REC_LIF, beta=0.5, v_th=1.1))
