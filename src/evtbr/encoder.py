@@ -95,9 +95,10 @@ class EncodedFrame:
 class EncoderConfig:
     """Complete encoder parameterization.
 
-    ``micro_steps_per_slice`` (K) controls how many neuron updates happen
-    per slice; the slice duration must divide evenly into K micro steps.
-    The neuron config is required in spike mode and ignored otherwise.
+    ``micro_steps_per_slice`` (K >= 1) controls how many neuron updates
+    happen per slice; in spike mode the slice duration must divide evenly
+    into K micro steps. The neuron config is required in spike mode. Plain
+    mode ignores both.
     """
 
     slicing: SlicingConfig
@@ -109,12 +110,13 @@ class EncoderConfig:
         k = self.micro_steps_per_slice
         if k < 1:
             raise ValueError(f"micro_steps_per_slice must be >= 1, got {k}")
-        if self.slicing.slice_duration % k != 0:
+        spiking = self.mode is EncoderMode.SPIKE_TBR
+        if spiking and self.slicing.slice_duration % k != 0:
             raise ValueError(
                 f"slice duration {self.slicing.slice_duration}us is not divisible "
                 f"into {k} micro steps"
             )
-        if self.mode is EncoderMode.SPIKE_TBR and self.neuron is None:
+        if spiking and self.neuron is None:
             raise ValueError("spike mode requires a neuron config")
 
     def label(self) -> str:

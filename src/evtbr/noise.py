@@ -5,11 +5,23 @@ at most one spurious event with probability ``probability``; its timestamp is
 uniform within the slice. Injection is deterministic for a fixed seed: each
 slice draws from its own generator keyed by (seed, domain tag, slice index),
 and within a slice the draw order is fixed (one uniform per pixel in row-major
-order, then timestamps for the firing pixels, then polarities).
+order, then timestamps for the firing pixels, then polarities). A slice where
+no pixel fires draws nothing after its uniforms.
+
+Slice s's generator is the one ``np.random.default_rng([seed, tag, s])``
+builds, but its state is derived without building it: ``SeedSequence``
+hashes the three key words with fixed uint32 constants, and NEP 19 keeps
+that hash and PCG64's seeding stable across numpy versions. The hash runs
+as wrapping uint32 array arithmetic over a block of slices at once, and
+PCG64's two-step seeding turns each slice's four output words into the
+(state, inc) pair that one reused ``PCG64`` is set to. A seed or slice
+index of 2^32 or more is not one uint32 word, so such keys are built with
+``default_rng`` itself.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,28 +63,87 @@ class NoiseConfig:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
-def _slice_rng(cfg: NoiseConfig, slice_index: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, slice_index])
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx, fixed by
+# NEP 19) and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+# Slices whose seed words are hashed together; bounds the scratch memory.
+_KEY_BLOCK = 4096
 
 
-def _draw_slice(
-    cfg: NoiseConfig,
-    geometry: SensorGeometry,
-    slice_index: int,
-    start: int,
-    end: int,
-) -> EventStream:
-    """Noise events for one slice covering [start, end), in pixel order."""
-    rng = _slice_rng(cfg, slice_index)
-    u = rng.random(geometry.pixel_count)
-    fired = np.nonzero(u < cfg.probability)[0]
-    n = fired.size
-    ts = rng.integers(start, end, size=n, dtype=np.int64)
-    if cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM:
-        pol = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
-    else:
-        pol = np.ones(n, dtype=np.int8)
-    return EventStream(geometry, ts, fired % geometry.width, fired // geometry.width, pol)
+def _seed_words(seed: int, tag: int, slices: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, tag, s]).generate_state(4, np.uint64)`` per slice s.
+
+    ``slices`` is uint32 and seed and tag are below 2^32, so the entropy is
+    three uint32 words and the pool of four takes a zero as its last word.
+    Returns (n, 4) words.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    entropy = (np.full_like(slices, seed), np.full_like(slices, tag), slices, np.zeros_like(slices))
+    pool = [hashmix(word) for word in entropy]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+    const = _INIT_B
+    words = np.empty((slices.size, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        words[:, i] = value ^ (value >> np.uint32(16))
+    # Pairs of uint32 words are little-endian uint64 words.
+    return words.astype("<u4", copy=False).view("<u8")
+
+
+def _keyed_generators(
+    seed: int, tag: int, slices: range
+) -> Iterator[tuple[int, np.random.Generator]]:
+    """Yield (s, generator) per slice s of an ascending range.
+
+    The generator's stream equals ``np.random.default_rng([seed, tag, s])``.
+    One generator is reused and reset to each slice's state, so draw from
+    it before taking the next item. A block of slices holding a key of
+    2^32 or more falls back to ``default_rng``.
+    """
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
+    for lo in range(0, len(slices), _KEY_BLOCK):
+        block = slices[lo : lo + _KEY_BLOCK]
+        if max(seed, tag, block[-1]) > _MASK32:
+            for s in block:
+                yield s, np.random.default_rng([seed, tag, s])
+            continue
+        keys = np.arange(block.start, block.stop, block.step, dtype=np.uint32)
+        for s, (w0, w1, w2, w3) in zip(block, _seed_words(seed, tag, keys).tolist()):
+            # PCG64 seeding: inc = 2 * initseq + 1, then two LCG steps with
+            # initstate added to the state between them.
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield s, generator
 
 
 def default_span(stream: EventStream, slice_duration: int) -> tuple[int, int]:
@@ -120,18 +191,32 @@ def inject_noise(
 
     dt = cfg.slice_duration
     n_slices = (t1 - t0 + dt - 1) // dt
-    parts = []
-    for s in range(n_slices):
+    geometry = stream.geometry
+    random_polarity = cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM
+    pixels, times, polarities = [], [], []
+    for s, rng in _keyed_generators(cfg.rng_seed, NOISE_DOMAIN_TAG, range(n_slices)):
+        fired = (rng.random(geometry.pixel_count) < cfg.probability).nonzero()[0]
+        if fired.size == 0:
+            continue
         start = t0 + s * dt
-        chunk = _draw_slice(cfg, stream.geometry, s, start, min(start + dt, t1))
-        if len(chunk):
-            parts.append(chunk)
+        pixels.append(fired)
+        times.append(rng.integers(start, min(start + dt, t1), size=fired.size, dtype=np.int64))
+        if random_polarity:
+            polarities.append(rng.integers(0, 2, size=fired.size, dtype=np.int8))
 
-    if not parts:
+    if not pixels:
         return stream
+    fired = np.concatenate(pixels)
+    if random_polarity:
+        pol = np.concatenate(polarities) * 2 - 1
+    else:
+        pol = np.ones(fired.size, dtype=np.int8)
+    noise = EventStream(
+        geometry, np.concatenate(times), fired % geometry.width, fired // geometry.width, pol
+    )
     # Slices are disjoint in time and each is in pixel order, so one stable
     # sort orders the noise by (t, pixel) and puts signal first on ties.
-    return merge_sorted_by_time(stream.geometry, stream, *parts)
+    return merge_sorted_by_time(geometry, stream, noise)
 
 
 def merge_noise_recording(
@@ -145,7 +230,11 @@ def merge_noise_recording(
     mapping (x' = x * W_target // W_noise), its start is aligned to the
     signal's first event, and the recording is tiled end to end, one copy
     every (last - first noise timestamp) µs, until it covers the signal,
-    then truncated at the signal's last event. A recording whose events all
+    then truncated at the signal's last event. Each copy is the whole
+    recording, so copy c's last event and copy c+1's first event share a
+    timestamp and both are kept: a recording with events at t = 10 and 40
+    over a signal spanning [0, 100] adds events at 0, 30, 30, 60, 60, 90
+    and 90. A recording whose events all
     share one timestamp has no period to tile with: it is laid over the
     signal once, at the signal's first event.
     """

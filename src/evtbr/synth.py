@@ -10,8 +10,9 @@ Time is discretized into emission slices of ``emission_period`` µs. At each
 slice every edge pixel receives a Poisson-distributed number of events at
 the configured rate, with timestamps uniform inside the slice. Generation
 is deterministic: slice s draws from a generator keyed by
-(seed, domain tag, s) with a fixed draw order, so streams are reproducible
-across runs and platforms.
+(seed, domain tag, s), built the way :mod:`evtbr.noise` builds its slice
+generators, with a fixed draw order, so streams are reproducible across
+runs and platforms.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .events import EventStream, SensorGeometry, merge_sorted_by_time
+from .noise import _keyed_generators
 
 SYNTH_DOMAIN_TAG = 0x5359
 
@@ -166,13 +168,12 @@ def generate(scene: SynthScene) -> EventStream:
     rate = scene.events_per_edge_pixel_per_slice
     n_slices = math.ceil(scene.duration / period)
     parts = []
-    for s in range(n_slices):
+    for s, rng in _keyed_generators(scene.seed, SYNTH_DOMAIN_TAG, range(n_slices)):
         start = s * period
         end = min(start + period, scene.duration)
         xs, ys, ps = _edge_pixels(scene, s, start)
         if xs.size == 0:
             continue
-        rng = np.random.default_rng([scene.seed, SYNTH_DOMAIN_TAG, s])
         counts = rng.poisson(rate, size=xs.size)
         total = int(counts.sum())
         if total == 0:

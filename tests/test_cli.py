@@ -145,7 +145,19 @@ class TestEncode:
             "--mode", "spike-tbr", "--k", "3",
         ]
         assert run(argv) == 1
+        assert "not divisible into 3 micro steps" in capsys.readouterr().err
+
+    def test_micro_steps_are_ignored_in_plain_mode(self, tmp_path, capsys):
+        # 2500 us slices do not split into 3 micro steps; only spike mode uses K.
+        stream_file = synth_file(tmp_path)
+        base = ["encode", "--in", str(stream_file), "--out-dir"]
+        assert run(base + [str(tmp_path / "plain")]) == 0
+        assert run(base + [str(tmp_path / "k3"), "--k", "3"]) == 0
         capsys.readouterr()
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert sorted(p.name for p in (tmp_path / "k3").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "k3" / name).read_bytes()
 
     @pytest.mark.parametrize("variant", list(NeuronVariant))
     def test_neuron_flag_selects_variant(self, tmp_path, capsys, variant):

@@ -490,6 +490,10 @@ class TestEncoderConfig:
                 micro_steps_per_slice=3,
             )
 
+    def test_plain_mode_ignores_micro_step_divisibility(self):
+        cfg = EncoderConfig(slicing=SLICING, micro_steps_per_slice=3)
+        assert cfg.micro_steps_per_slice == 3
+
     def test_micro_steps_positive(self):
         with pytest.raises(ValueError):
             EncoderConfig(

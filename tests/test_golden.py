@@ -5,7 +5,10 @@ compares the SHA-256 of the bytes with a digest recorded from an earlier
 version of the package. Any change to event order, tie-breaking, values
 or file layout changes a digest. The noise cases use slices of a few µs
 at p >= 0.1, so one slice holds many noise events with the same
-timestamp, and signal events tie with noise events.
+timestamp, and signal events tie with noise events. Further cases cover
+seeds of 2^32 and more, which key their generators through numpy's own
+``default_rng``, and a fixed-polarity injection over a span that starts
+after t = 0 and ends inside a slice.
 """
 
 import hashlib
@@ -14,12 +17,18 @@ import pytest
 
 from evtbr.events import SensorGeometry
 from evtbr.io import EventFileFormat, write_events
-from evtbr.noise import NoiseConfig, inject_noise, merge_noise_recording, noise_only_stream
+from evtbr.noise import (
+    NoiseConfig,
+    PolarityRule,
+    inject_noise,
+    merge_noise_recording,
+    noise_only_stream,
+)
 from evtbr.synth import SceneKind, SynthScene, generate
 
 
-def _scene(kind=SceneKind.MOVING_BAR, geometry=SensorGeometry(16, 12), duration=1_500):
-    return SynthScene(kind, geometry, velocity=4_000.0, duration=duration, seed=5, emission_period=500)
+def _scene(kind=SceneKind.MOVING_BAR, geometry=SensorGeometry(16, 12), duration=1_500, seed=5):
+    return SynthScene(kind, geometry, velocity=4_000.0, duration=duration, seed=seed, emission_period=500)
 
 
 def _generate():
@@ -28,6 +37,24 @@ def _generate():
 
 def _inject():
     return inject_noise(_generate(), NoiseConfig(probability=0.25, slice_duration=3, rng_seed=7))
+
+
+def _inject_large_seed():
+    return inject_noise(
+        _generate(), NoiseConfig(probability=0.25, slice_duration=3, rng_seed=2**32 + 5)
+    )
+
+
+def _inject_cut_span():
+    cfg = NoiseConfig(
+        probability=0.3, slice_duration=7, rng_seed=9, polarity_rule=PolarityRule.FIXED_POSITIVE
+    )
+    # 1198 us is 171 whole slices and a last one cut to 1 us.
+    return inject_noise(_generate(), cfg, span=(5, 1_203))
+
+
+def _generate_large_seed():
+    return generate(_scene(SceneKind.BLINKING_GRID, seed=2**32 + 1))
 
 
 def _noise_only():
@@ -49,6 +76,21 @@ CASES = {
         _generate,
         "99ad5c32ac54fa8f43d5abb9495ea8920405741c911b7dda2f71c8ff8dca227b",
         "808269e60b244c766434fe3dea803331dc279bc3d17ea5969ae27c980cb10cd1",
+    ),
+    "generate_large_seed": (
+        _generate_large_seed,
+        "d203eeb9f7cec374ae8b312ee73fa9c4307fb02c749a4748c16021658d8712fd",
+        "f8264bfc93ece3ea3b14f1cac94dfd2822177e83abc89a753f76d710d5f65a87",
+    ),
+    "inject_cut_span": (
+        _inject_cut_span,
+        "7749c09792abe49c420ddf87dc61b351a8dcb7706e1fd8c57df811a2277123cb",
+        "3b5d94f4ba056ddf339f71ab5ad23e6f73577d08eb2a26d02883cf916b2e5abb",
+    ),
+    "inject_large_seed": (
+        _inject_large_seed,
+        "035e4c658fd5ae74769dc2765dd4f513c19e1109063dfd9fff0d02b13a1f4352",
+        "d2f6db71d70158cd2072e80aca6545bf7792c13c931589ac7350b3507d440d9a",
     ),
     "inject_noise": (
         _inject,

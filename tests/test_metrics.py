@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from evtbr import metrics
 from evtbr.encoder import EncodedFrame, EncoderConfig, EncoderMode, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig
 from evtbr.metrics import (
@@ -191,6 +192,23 @@ class TestRobustnessCurve:
                                  n_seeds=2)
         solo = robustness_curve(small_scene(), cfg, noise_levels=[0.03], n_seeds=2)
         assert multi[1] == solo[0]
+
+    def test_injects_once_per_level_and_seed(self, monkeypatch):
+        # The benchmark's noise counters wrap metrics.inject_noise by name,
+        # so every trial must go through it: levels x seeds calls.
+        calls = []
+        inject = metrics.inject_noise
+
+        def counting_inject(stream, cfg, span=None):
+            calls.append((cfg.probability, cfg.rng_seed, span))
+            return inject(stream, cfg, span)
+
+        monkeypatch.setattr(metrics, "inject_noise", counting_inject)
+        scene = small_scene()
+        robustness_curve(scene, EncoderConfig(slicing=SLICING), noise_levels=[0.0, 0.01, 0.05],
+                         n_seeds=3, base_seed=4)
+        span = (0, scene.duration)
+        assert calls == [(p, seed, span) for p in (0.0, 0.01, 0.05) for seed in (4, 5, 6)]
 
     def test_encoder_label_attached(self):
         pts = robustness_curve(small_scene(), spike_cfg(), noise_levels=[0.0],

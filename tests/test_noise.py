@@ -5,13 +5,17 @@ import pytest
 
 from evtbr.events import EventStream, SensorGeometry
 from evtbr.noise import (
+    _KEY_BLOCK,
+    NOISE_DOMAIN_TAG,
     NoiseConfig,
     PolarityRule,
+    _keyed_generators,
     default_span,
     inject_noise,
     merge_noise_recording,
     noise_only_stream,
 )
+from evtbr.synth import SYNTH_DOMAIN_TAG
 
 from helpers import random_stream
 
@@ -159,6 +163,47 @@ class TestInjectNoise:
         assert noisy.p[0] == -1
 
 
+def _assert_same_as_default_rng(seed, tag, slices):
+    for s, rng in _keyed_generators(seed, tag, slices):
+        ref = np.random.default_rng([seed, tag, s])
+        assert rng.bit_generator.state == ref.bit_generator.state, (seed, s)
+        assert rng.random(3).tolist() == ref.random(3).tolist()
+        assert rng.integers(0, 1_000, size=5).tolist() == ref.integers(0, 1_000, size=5).tolist()
+
+
+class TestKeyedGenerators:
+    """Generators built from vectorised SeedSequence states equal numpy's."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_small_keys(self, seed):
+        _assert_same_as_default_rng(seed, NOISE_DOMAIN_TAG, range(40))
+
+    def test_random_keys(self):
+        draw = np.random.default_rng(2024)
+        for seed in draw.integers(0, 2**32, size=6).tolist():
+            first = int(draw.integers(0, 2**32 - 50))
+            _assert_same_as_default_rng(seed, SYNTH_DOMAIN_TAG, range(first, first + 50))
+
+    def test_largest_slice_index_that_fits(self):
+        _assert_same_as_default_rng(7, NOISE_DOMAIN_TAG, range(2**32 - 3, 2**32))
+
+    @pytest.mark.parametrize("seed", [2**32, 2**32 + 5, 2**64 + 1])
+    def test_seed_fallback(self, seed):
+        _assert_same_as_default_rng(seed, NOISE_DOMAIN_TAG, range(5))
+
+    def test_slice_index_fallback(self):
+        _assert_same_as_default_rng(3, NOISE_DOMAIN_TAG, range(2**32 - 2, 2**32 + 2))
+
+    def test_blocks_cover_every_slice_in_order(self):
+        n = 2 * _KEY_BLOCK + 3
+        slices = [s for s, _ in _keyed_generators(0, NOISE_DOMAIN_TAG, range(n))]
+        assert slices == list(range(n))
+        _assert_same_as_default_rng(0, NOISE_DOMAIN_TAG, range(_KEY_BLOCK - 2, _KEY_BLOCK + 2))
+
+    def test_empty_range(self):
+        assert list(_keyed_generators(0, NOISE_DOMAIN_TAG, range(0))) == []
+
+
 class TestDefaultSpan:
     def test_rounds_up_to_slice_multiple(self):
         stream = EventStream.from_events(G, [(0, 0, 0, 1), (5_200, 1, 1, 1)])
@@ -215,6 +260,15 @@ class TestMergeNoiseRecording:
         # The tile period is 5000us, so copies land at 0, 5000, 10000, ...
         assert len(added_t) >= 10
         assert (added_t % 5_000 == 0).all()
+
+    def test_tile_boundaries_keep_both_events(self):
+        # Copy c's last event and copy c+1's first event share a timestamp;
+        # both stay, so every copy is the whole recording.
+        signal = EventStream.from_events(G, [(0, 0, 0, 1), (100, 3, 3, 1)])
+        noise = EventStream.from_events(G, [(10, 1, 1, 1), (40, 2, 2, 1)])
+        merged = merge_noise_recording(signal, noise, G)
+        assert merged.t.tolist() == [0, 0, 30, 30, 60, 60, 90, 90, 100]
+        assert merged.x.tolist() == [0, 1, 2, 1, 2, 1, 2, 1, 3]
 
     def test_single_timestamp_recording_laid_over_once(self):
         signal = EventStream.from_events(G, [(1_000, 0, 0, 1), (21_000, 0, 3, 1)])
