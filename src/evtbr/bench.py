@@ -1,13 +1,12 @@
-"""Encoder throughput measurement.
+"""Encoder throughput measurement for the acceptance throughput floor.
 
-Run as ``python -m evtbr.bench``. The default workload is the spiking
-encoder on a dense random 128x128 stream, the configuration the throughput
-regression floor is defined against.
+The default workload is the spiking encoder on a dense random 128x128
+stream, the configuration the floor is defined against. End-to-end
+benchmarks of the CLI are in ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 from dataclasses import dataclass
 
@@ -27,12 +26,6 @@ class BenchResult:
     @property
     def events_per_second(self) -> float:
         return self.n_events / self.seconds
-
-    def summary(self) -> str:
-        return (
-            f"encoded {self.n_events} events into {self.n_frames} frames "
-            f"in {self.seconds:.3f} s ({self.events_per_second:,.0f} events/s)"
-        )
 
 
 def random_stream(
@@ -77,25 +70,3 @@ def measure_encode_throughput(
         n_frames = len(frames)
     return BenchResult(n_events=n_events, n_frames=n_frames, seconds=best)
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="evtbr.bench", description="Measure spiking-encoder throughput."
-    )
-    parser.add_argument("--events", type=int, default=1_000_000)
-    parser.add_argument("--duration-us", type=int, default=1_000_000)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = measure_encode_throughput(
-        n_events=args.events,
-        duration=args.duration_us,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    print(result.summary())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

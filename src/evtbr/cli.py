@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig, EncoderMode, decode_tbr, encode_stream
-from .events import EventStream, SensorGeometry, SlicingConfig
+from .events import MAX_PIXELS, EventStream, SensorGeometry, SlicingConfig
 from .io import (
     EventFileError,
     EventFileFormat,
@@ -47,7 +47,7 @@ def _size_arg(text: str) -> SensorGeometry:
         return SensorGeometry(int(w_text), int(h_text))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(
-            f"expected WIDTHxHEIGHT (e.g. 128x128), got {text!r}"
+            f"expected WIDTHxHEIGHT of at most {MAX_PIXELS} pixels (e.g. 128x128), got {text!r}"
         ) from exc
 
 

@@ -25,6 +25,10 @@ import numpy as np
 
 INT64_MAX = np.iinfo(np.int64).max
 
+# Largest sensor accepted: 2^24 pixels (4096x4096). Encoding holds ~20 B per
+# pixel, so an oversized header or size fails here, before any allocation.
+MAX_PIXELS = 1 << 24
+
 # Column names and dtypes of an EventStream, in field order.
 _COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
 
@@ -40,7 +44,7 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class SensorGeometry:
-    """Sensor pixel grid, ``width`` columns by ``height`` rows."""
+    """Sensor pixel grid, ``width`` columns by ``height`` rows, at most MAX_PIXELS."""
 
     width: int
     height: int
@@ -48,6 +52,8 @@ class SensorGeometry:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"geometry must be at least 1x1, got {self.width}x{self.height}")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValueError(f"geometry {self.width}x{self.height} exceeds {MAX_PIXELS} pixels")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -93,10 +99,6 @@ class EventStream:
     @classmethod
     def empty(cls, geometry: SensorGeometry) -> "EventStream":
         return cls(geometry, *(np.empty(0, dtype) for _, dtype in _COLUMNS))
-
-    @property
-    def first_t(self) -> int | None:
-        return int(self.t[0]) if len(self.t) else None
 
     @property
     def last_t(self) -> int | None:
@@ -273,6 +275,7 @@ def merge_sorted_by_time(geometry: SensorGeometry, *parts: EventStream) -> Event
 
 
 __all__ = [
+    "MAX_PIXELS",
     "Event",
     "SensorGeometry",
     "EventStream",

@@ -19,6 +19,7 @@ All parse errors carry the offending byte or line offset in the message.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +43,10 @@ _FILE_RECORD_DTYPE = np.dtype(
 # What counts as a blank CSV line: ASCII whitespace only, as bytes.strip().
 _ASCII_WHITESPACE = " \t\r\x0b\x0c"
 _U16_MAX = np.iinfo(np.uint16).max
-_U32_MAX = np.iinfo(np.uint32).max
+
+# One PGM header token: skip whitespace and ``#`` comments, then take the
+# non-whitespace run (empty at the end of the data).
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 class EventFileFormat(str, Enum):
@@ -89,9 +93,6 @@ def write_events(stream: EventStream, path: str | Path, fmt: EventFileFormat) ->
         path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
         return
 
-    g = stream.geometry
-    if g.width > _U32_MAX or g.height > _U32_MAX:
-        raise EventFileError(f"geometry {g.width}x{g.height} exceeds binary-v1 header range")
     if len(stream) and (int(stream.x.max()) > _U16_MAX or int(stream.y.max()) > _U16_MAX):
         raise EventFileError("event coordinates exceed binary-v1 u16 range")
     if len(stream) and int(stream.t.min()) < 0:
@@ -102,7 +103,7 @@ def write_events(stream: EventStream, path: str | Path, fmt: EventFileFormat) ->
     records["x"] = stream.x.astype(np.uint16)
     records["y"] = stream.y.astype(np.uint16)
     records["p"] = stream.p
-    header = BINARY_MAGIC + struct.pack("<II", g.width, g.height)
+    header = BINARY_MAGIC + struct.pack("<II", stream.geometry.width, stream.geometry.height)
     path.write_bytes(header + records.tobytes())
 
 
@@ -174,10 +175,10 @@ def _read_binary(path: Path) -> EventStream:
         raise EventFileError(f"{path}: byte 0: truncated header ({len(data)} of {BINARY_HEADER_LEN} bytes)")
     if data[:4] != BINARY_MAGIC:
         raise EventFileError(f"{path}: byte 0: bad magic {data[:4]!r}, expected {BINARY_MAGIC!r}")
-    width, height = struct.unpack("<II", data[4:BINARY_HEADER_LEN])
-    if width < 1 or height < 1:
-        raise EventFileError(f"{path}: byte 4: invalid geometry {width}x{height}")
-    geometry = SensorGeometry(width, height)
+    try:
+        geometry = SensorGeometry(*struct.unpack("<II", data[4:BINARY_HEADER_LEN]))
+    except ValueError as exc:
+        raise EventFileError(f"{path}: byte 4: {exc}") from None
 
     n_full, leftover = divmod(len(data) - BINARY_HEADER_LEN, BINARY_RECORD_LEN)
     if leftover:
@@ -219,37 +220,23 @@ def read_frame(path: str | Path) -> EncodedFrame:
     """
     path = Path(path)
     data = path.read_bytes()
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FrameFormatError(f"{path}: byte {start}: unexpected end of header")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
-        raise FrameFormatError(f"{path}: byte 0: expected P5, got {magic!r}")
+    values, pos = [], 0
+    for field in ("magic", "width", "height", "maxval"):
+        m = _PGM_TOKEN.match(data, pos)
+        token, pos = m[1], m.end()
+        if not token:
+            raise FrameFormatError(f"{path}: byte {m.start(1)}: unexpected end of header")
+        if field == "magic" and token != b"P5":
+            raise FrameFormatError(f"{path}: byte 0: expected P5, got {token!r}")
+        try:
+            values.append(token if field == "magic" else int(token))
+        except ValueError:
+            raise FrameFormatError(f"{path}: byte {pos}: non-integer header field") from None
+    _, width, height, maxval = values
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError:
-        raise FrameFormatError(f"{path}: byte {pos}: non-integer header field") from None
-    if width < 1 or height < 1:
-        raise FrameFormatError(f"{path}: invalid dimensions {width}x{height}")
+        geometry = SensorGeometry(width, height)
+    except ValueError as exc:
+        raise FrameFormatError(f"{path}: {exc}") from None
     if maxval < 1 or (maxval & (maxval + 1)) != 0:
         raise FrameFormatError(f"{path}: maxval {maxval} is not of the form 2^N - 1")
     n_bits = maxval.bit_length()
@@ -265,8 +252,8 @@ def read_frame(path: str | Path) -> EncodedFrame:
             f"{path}: byte {pos}: raster holds {len(raster)} bytes, expected {expected}"
         )
     dtype = np.uint8 if bytes_per_pixel == 1 else np.dtype(">u2")
-    codes = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(np.uint32)
-    return EncodedFrame(SensorGeometry(width, height), n_bits, codes)
+    codes = np.frombuffer(raster, dtype=dtype).reshape(height, width)
+    return EncodedFrame(geometry, n_bits, codes)
 
 
 @dataclass(frozen=True)

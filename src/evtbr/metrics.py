@@ -39,10 +39,6 @@ class FrameDistance:
     hamming_bits: int
     changed_pixels: int
 
-    @property
-    def is_zero(self) -> bool:
-        return self.l1_mean == 0.0 and self.hamming_bits == 0 and self.changed_pixels == 0
-
 
 def frame_distance(a: EncodedFrame, b: EncodedFrame) -> FrameDistance:
     if a.geometry != b.geometry:

@@ -267,11 +267,6 @@ class NeuronGrid:
         self.v.fill(self.config.v_rest)
         self.fired = _NONE_FIRED
 
-    def clear_counters(self) -> None:
-        """Zero the AC and spike tallies (state is left untouched)."""
-        self.ac_count = 0
-        self.spike_count = 0
-
 
 __all__ = [
     "SpikeFrame",

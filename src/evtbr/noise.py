@@ -37,8 +37,10 @@ NOISE_DOMAIN_TAG = 0x4E5A
 class PolarityRule(str, Enum):
     """How injected events pick a polarity.
 
-    The encoders discard polarity, so this choice cannot affect frames; it
-    exists so written noise files are fully specified and reproducible.
+    The plain encoder ignores polarity, and so does spike-tbr when
+    weight_pos equals weight_neg; with unequal weights spike-tbr frames
+    depend on this choice. It also makes written noise files fully
+    specified and reproducible.
     """
 
     RANDOM_UNIFORM = "random-uniform"

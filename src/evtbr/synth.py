@@ -56,10 +56,10 @@ class SynthScene:
     object_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.velocity < 0:
-            raise ValueError(f"velocity must be non-negative, got {self.velocity}")
-        if self.events_per_edge_pixel_per_slice < 0:
-            raise ValueError("event rate must be non-negative")
+        for name in ("velocity", "events_per_edge_pixel_per_slice"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.duration < 0:
             raise ValueError(f"duration must be non-negative, got {self.duration}")
         if self.emission_period <= 0:
@@ -68,6 +68,11 @@ class SynthScene:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.object_size is not None and self.object_size < 1:
             raise ValueError(f"object_size must be at least 1, got {self.object_size}")
+        w, h = self.geometry.width, self.geometry.height
+        if self.kind is SceneKind.MOVING_BAR and self.size > w:
+            raise ValueError(f"bar width {self.size} exceeds sensor width {w}")
+        if self.kind is SceneKind.MOVING_DOT and (self.size > w or self.size > h):
+            raise ValueError(f"dot side {self.size} does not fit {w}x{h}")
 
     @property
     def size(self) -> int:
@@ -153,17 +158,8 @@ def _edge_pixels(scene: SynthScene, slice_index: int, t: int):
     return xs, ys, ps
 
 
-def _validate_scene(scene: SynthScene) -> None:
-    w, h = scene.geometry.width, scene.geometry.height
-    if scene.kind is SceneKind.MOVING_BAR and scene.size > w:
-        raise ValueError(f"bar width {scene.size} exceeds sensor width {w}")
-    if scene.kind is SceneKind.MOVING_DOT and (scene.size > w or scene.size > h):
-        raise ValueError(f"dot side {scene.size} does not fit {w}x{h}")
-
-
 def generate(scene: SynthScene) -> EventStream:
     """Generate the scene's event stream, sorted by timestamp."""
-    _validate_scene(scene)
     period = scene.emission_period
     rate = scene.events_per_edge_pixel_per_slice
     n_slices = math.ceil(scene.duration / period)

@@ -9,12 +9,6 @@ class TestBenchResult:
         r = BenchResult(n_events=1_000, n_frames=5, seconds=0.5)
         assert r.events_per_second == 2_000.0
 
-    def test_summary_mentions_counts(self):
-        s = BenchResult(n_events=1_000, n_frames=5, seconds=0.5).summary()
-        assert "1000 events" in s
-        assert "5 frames" in s
-        assert "events/s" in s
-
 
 class TestRandomStream:
     def test_shape_and_sortedness(self):

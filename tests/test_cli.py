@@ -1,11 +1,13 @@
+import argparse
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from evtbr.cli import main
+from evtbr.cli import _size_arg, main
 from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig
 from evtbr.io import EventFileFormat, read_events, read_frame, write_events
@@ -62,6 +64,15 @@ class TestSynth:
     def test_bad_size_is_usage_error(self, capsys):
         assert run(["synth", "--size", "32", "--out", "x.bin"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--velocity", "inf", "velocity"), ("--rate", "nan", "events_per_edge_pixel_per_slice")],
+    )
+    def test_non_finite_scene_value_is_data_error(self, tmp_path, capsys, flag, value, field):
+        argv = SMALL_SYNTH + [flag, value, "--out", str(tmp_path / "x.bin")]
+        assert run(argv) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
 
     def test_oversized_bar_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "x.bin"
@@ -349,6 +360,19 @@ class TestInfo:
         capsys.readouterr()
         assert run(["info", "--in", str(f), "--size", "4x4"]) == 0
         assert capsys.readouterr().out.startswith("events=1")
+
+
+class TestGeometryLimit:
+    def test_size_over_limit_is_usage_error(self):
+        assert _size_arg("4096x4096") == SensorGeometry(4096, 4096)
+        with pytest.raises(argparse.ArgumentTypeError, match="at most 16777216 pixels"):
+            _size_arg("5000x5000")
+
+    def test_forged_binary_header_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "forged.bin"
+        f.write_bytes(b"EVS1" + struct.pack("<II", 65535, 65535))
+        assert run(["info", "--in", str(f)]) == 1
+        assert "byte 4: geometry 65535x65535 exceeds" in capsys.readouterr().err
 
 
 class TestUsage:

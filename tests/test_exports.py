@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import evtbr
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The package's public names before its re-export list was derived from the
 # submodules' __all__ lists (EVENT_DTYPE, the record layout, is gone).
@@ -26,3 +33,18 @@ def test_every_exported_name_resolves():
 def test_earlier_exports_are_kept():
     assert set(EARLIER_EXPORTS) - set(evtbr.__all__) == set()
     assert not hasattr(evtbr, "EVENT_DTYPE")
+
+
+def test_perfbench_spans_find_every_traced_name():
+    # perfbench/spans.py wraps functions by module attribute name, so a
+    # renamed or deleted one breaks traced benchmark runs. Installed in a
+    # child process, so the wrappers never touch this test session.
+    path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import evtbr.cli, spans; spans.install(evtbr.cli)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -202,6 +202,19 @@ class TestBinaryRead:
         with pytest.raises(EventFileError, match="byte 0.*truncated header"):
             read_events(f, EventFileFormat.BINARY_V1)
 
+    @pytest.mark.parametrize(
+        "w,h,reason",
+        [(0, 4, "at least 1x1"), (4, 0, "at least 1x1"),
+         (65535, 65535, "65535x65535 exceeds"), (2**32 - 1, 2**32 - 1, "exceeds")],
+    )
+    def test_bad_geometry_names_header_offset(self, tmp_path, w, h, reason):
+        # A header with no records: the reader must refuse the geometry
+        # before anything is sized by it.
+        f = tmp_path / "ev.bin"
+        f.write_bytes(binary_header(w, h))
+        with pytest.raises(EventFileError, match=f"byte 4: geometry .*{reason}"):
+            read_events(f, EventFileFormat.BINARY_V1)
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_truncated_record_names_offset(self, tmp_path, k):
         f = tmp_path / "ev.bin"
@@ -375,6 +388,24 @@ class TestFrameRead:
         f = tmp_path / "frame.pgm"
         f.write_bytes(b"P2\n1 1\n255\n0\n")
         with pytest.raises(FrameFormatError, match="P5"):
+            read_frame(f)
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"", "byte 0: unexpected end of header"),
+            (b"P5\n3 3\n", "byte 7: unexpected end of header"),
+            (b"P5 # no size yet", "byte 16: unexpected end of header"),
+            (b"P5\nx 3\n255\n", "byte 4: non-integer header field"),
+            (b"P5\n3 3 25x\n", "byte 10: non-integer header field"),
+            (b"P5\n0 1\n1\n", "geometry must be at least 1x1, got 0x1"),
+            (b"P5\n5000 5000\n255\n", "geometry 5000x5000 exceeds 16777216 pixels"),
+        ],
+    )
+    def test_header_errors_name_offset(self, tmp_path, data, message):
+        f = tmp_path / "frame.pgm"
+        f.write_bytes(data)
+        with pytest.raises(FrameFormatError, match=message):
             read_frame(f)
 
     def test_maxval_above_sixteen_bits_rejected(self, tmp_path):

@@ -54,7 +54,7 @@ class TestFrameDistance:
     def test_identical_frames_zero(self):
         a = frame(np.arange(16).reshape(4, 4))
         d = frame_distance(a, frame(np.arange(16).reshape(4, 4)))
-        assert d.is_zero
+        assert (d.l1_mean, d.hamming_bits, d.changed_pixels) == (0.0, 0, 0)
 
     def test_single_pixel_example(self):
         a = frame(np.zeros((4, 4)))
@@ -95,9 +95,11 @@ class TestFrameDistance:
         rng = np.random.default_rng(3)
         a = frame(rng.integers(0, 256, size=(4, 4)))
         b = frame(a.codes.copy())
-        assert frame_distance(a, b).is_zero
+        d = frame_distance(a, b)
+        assert (d.l1_mean, d.hamming_bits, d.changed_pixels) == (0.0, 0, 0)
         b.codes[0, 0] ^= 1
-        assert not frame_distance(a, b).is_zero
+        d = frame_distance(a, b)
+        assert d.l1_mean > 0 and d.hamming_bits == 1 and d.changed_pixels == 1
 
     def test_geometry_mismatch_rejected(self):
         a = frame(np.zeros((4, 4)))

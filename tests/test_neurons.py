@@ -401,13 +401,6 @@ class TestAcCounting:
         assert grid.ac_count == 5 + 4
         assert grid.spike_count == 5
 
-    def test_clear_counters_keeps_state(self):
-        grid = NeuronGrid(G, NeuronConfig(beta=0.5))
-        grid.step(one_pixel_input(1.0))
-        grid.clear_counters()
-        assert grid.ac_count == 0 and grid.spike_count == 0
-        assert grid.v[1, 1] == 1.0
-
 
 class TestPlifEquivalence:
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])

@@ -3,7 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from evtbr.events import EventStream, SensorGeometry
+from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
+from evtbr.events import EventStream, SensorGeometry, SlicingConfig
+from evtbr.neurons import NeuronConfig
 from evtbr.noise import (
     _KEY_BLOCK,
     NOISE_DOMAIN_TAG,
@@ -15,7 +17,7 @@ from evtbr.noise import (
     merge_noise_recording,
     noise_only_stream,
 )
-from evtbr.synth import SYNTH_DOMAIN_TAG
+from evtbr.synth import SYNTH_DOMAIN_TAG, SceneKind, SynthScene, generate
 
 from helpers import random_stream
 
@@ -161,6 +163,27 @@ class TestInjectNoise:
         assert len(noisy) == 2
         assert noisy.t.tolist() == [0, 0]
         assert noisy.p[0] == -1
+
+
+class TestPolarityRuleAndFrames:
+    SLICING = SlicingConfig(slice_duration=2_500, bits_per_frame=8)
+
+    @staticmethod
+    def frames_per_rule(encoder_cfg):
+        bar = generate(SynthScene(SceneKind.MOVING_BAR, SensorGeometry(32, 32), duration=100_000))
+        return [encode_stream(inject_noise(bar, cfg(0.05, rule=rule)), encoder_cfg) for rule in PolarityRule]
+
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_equal_weights_frames_ignore_the_rule(self, mode):
+        neuron = NeuronConfig(beta=0.5) if mode is EncoderMode.SPIKE_TBR else None
+        uniform, positive = self.frames_per_rule(EncoderConfig(self.SLICING, mode, neuron))
+        assert uniform == positive
+
+    def test_unequal_weights_make_spike_frames_depend_on_the_rule(self):
+        neuron = NeuronConfig(beta=0.5, weight_neg=0.2)
+        uniform, positive = self.frames_per_rule(EncoderConfig(self.SLICING, EncoderMode.SPIKE_TBR, neuron))
+        assert len(uniform) == len(positive) == 5
+        assert uniform != positive
 
 
 def _assert_same_as_default_rng(seed, tag, slices):

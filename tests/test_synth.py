@@ -44,14 +44,18 @@ class TestSceneValidation:
             scene(SceneKind.MOVING_BAR, events_per_edge_pixel_per_slice=-0.5)
 
     def test_bar_wider_than_sensor_rejected(self):
-        sc = scene(SceneKind.MOVING_BAR, object_size=65)
-        with pytest.raises(ValueError, match="width"):
-            generate(sc)
+        with pytest.raises(ValueError, match="bar width 65 exceeds sensor width 64"):
+            scene(SceneKind.MOVING_BAR, object_size=65)
 
     def test_dot_taller_than_sensor_rejected(self):
-        sc = scene(SceneKind.MOVING_DOT, geometry=SensorGeometry(64, 8), object_size=9)
-        with pytest.raises(ValueError):
-            generate(sc)
+        with pytest.raises(ValueError, match="dot side 9 does not fit 64x8"):
+            scene(SceneKind.MOVING_DOT, geometry=SensorGeometry(64, 8), object_size=9)
+
+    @pytest.mark.parametrize("field", ["velocity", "events_per_edge_pixel_per_slice"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rate_or_velocity_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            scene(SceneKind.MOVING_BAR, **{field: value})
 
     def test_default_sizes(self):
         assert scene(SceneKind.MOVING_BAR).size == 8
