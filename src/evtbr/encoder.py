@@ -22,12 +22,15 @@ micro steps (K = 1 by default) for finer integration granularity.
 Both modes share one window loop, :func:`encode_stream`, and one window
 body. The body locates the window's N*K step bounds with one search over
 the whole stream (K = 1 in plain mode), so a window costs O(log events)
-to find. Each step ORs its slice's bit in place into one preallocated
-uint32 code array, at the step's event pixels in plain mode and at the
-neurons that fired (:attr:`NeuronGrid.fired`, by flat index) in spike
-mode. No slice stack is built on the encode path: :func:`encode_tbr` and
-:func:`decode_tbr` remain the lossless conversion between a
-:class:`BinarySliceStack` and its codes.
+to find. Each step ORs its slice's bit in place into the window's row of
+codes, at the step's event pixels in plain mode and at the neurons that
+fired (:attr:`NeuronGrid.fired`, by flat index) in spike mode. Codes are
+held in the narrowest unsigned dtype that holds ``2**N - 1``
+(:func:`code_dtype`: uint8 up to N = 8), and :func:`encode_stream`
+allocates one zeroed ``(windows, pixels)`` block for all of them, capped at
+:data:`MAX_FRAME_BYTES`. No slice stack is built on the encode path:
+:func:`encode_tbr` and :func:`decode_tbr` remain the lossless conversion
+between a :class:`BinarySliceStack` and its uint32 codes.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ from .events import (
 )
 from .neurons import NeuronConfig, NeuronGrid, StepInput
 
+# Upper bound on the code bytes one encode_stream call holds (4 GiB). A
+# window count past it comes from timestamps far from the window origin,
+# such as device clocks counted from the epoch, not from a recording.
+MAX_FRAME_BYTES = 1 << 32
+
 
 class EncoderMode(str, Enum):
     TBR = "tbr"
@@ -57,7 +65,11 @@ class EncoderMode(str, Enum):
 
 @dataclass(eq=False)
 class EncodedFrame:
-    """One encoded frame: an (H, W) grid of integer codes in [0, 2**N - 1]."""
+    """One encoded frame: an (H, W) grid of integer codes in [0, 2**N - 1].
+
+    Unsigned codes are kept in their dtype; any other dtype is widened to
+    uint32.
+    """
 
     geometry: SensorGeometry
     n_bits: int
@@ -69,7 +81,7 @@ class EncodedFrame:
             raise ValueError(
                 f"code array shape {self.codes.shape} does not match geometry {self.geometry.shape}"
             )
-        if self.codes.dtype != np.uint32:
+        if self.codes.dtype.kind != "u":
             self.codes = self.codes.astype(np.uint32)
 
     @property
@@ -126,6 +138,11 @@ class EncoderConfig:
         return f"spike-tbr-{self.neuron.variant.value}"
 
 
+def code_dtype(n_bits: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the codes of ``n_bits`` slices."""
+    return np.min_scalar_type((1 << n_bits) - 1)
+
+
 def encode_tbr(stack: BinarySliceStack) -> EncodedFrame:
     """Convert an N-slice binary stack to per-pixel integer codes.
 
@@ -148,14 +165,19 @@ def decode_tbr(frame: EncodedFrame) -> BinarySliceStack:
     return BinarySliceStack(frame.geometry, slices.astype(np.bool_), frame.window_start)
 
 
-def encode_window_tbr(stream: EventStream, cfg: EncoderConfig, window_start: int) -> EncodedFrame:
+def encode_window_tbr(
+    stream: EventStream, cfg: EncoderConfig, window_start: int, out: np.ndarray | None = None
+) -> EncodedFrame:
     """Plain-mode encoding of one window.
 
     Each slice's bit is set on every pixel with an event in that slice, so
     the codes equal :func:`encode_tbr` of :func:`slice_stream`'s stack.
-    Events outside the window are skipped.
+    Events outside the window are skipped. ``out``, if given, is a zeroed
+    flat array of ``pixel_count`` codes in :func:`code_dtype` that the
+    frame's codes are written into (and that they view); by default a
+    new one is allocated.
     """
-    return _encode_window(stream, cfg, window_start, None)
+    return _encode_window(stream, cfg, window_start, None, out)
 
 
 def encode_window_spike_tbr(
@@ -163,23 +185,28 @@ def encode_window_spike_tbr(
     cfg: EncoderConfig,
     grid: NeuronGrid,
     window_start: int,
+    out: np.ndarray | None = None,
 ) -> EncodedFrame:
     """Spike-mode encoding of one window using (and mutating) ``grid``.
 
     Per slice: events are binned into K micro steps, each micro step drives
     one neuron update, and the slice's digit is set on every neuron that
     fired in any of them. Membrane state carries over into the next slice
-    and window.
+    and window. ``out`` is as in :func:`encode_window_tbr`.
     """
     if grid.geometry != stream.geometry:
         raise ValueError(
             f"grid geometry {grid.geometry} does not match stream geometry {stream.geometry}"
         )
-    return _encode_window(stream, cfg, window_start, grid)
+    return _encode_window(stream, cfg, window_start, grid, out)
 
 
 def _encode_window(
-    stream: EventStream, cfg: EncoderConfig, window_start: int, grid: NeuronGrid | None
+    stream: EventStream,
+    cfg: EncoderConfig,
+    window_start: int,
+    grid: NeuronGrid | None,
+    out: np.ndarray | None,
 ) -> EncodedFrame:
     """The window body of both modes; ``grid`` is None in plain mode.
 
@@ -207,7 +234,8 @@ def _encode_window(
         events = StepInput.from_events(geometry, x, y, stream.p[lo:hi], grid.config)
         weights, pixels = events.values, events.pixels
 
-    codes = np.zeros(geometry.pixel_count, dtype=np.uint32)
+    codes = np.zeros(geometry.pixel_count, code_dtype(n)) if out is None else out
+    bit = codes.dtype.type
     for j in range(n * k):
         a, b = bounds[j], bounds[j + 1]
         if grid is None:
@@ -216,7 +244,7 @@ def _encode_window(
             grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
             active = grid.fired
         if len(active):
-            codes[active] |= np.uint32(1 << (j // k))
+            codes[active] |= bit(1 << (j // k))
     return EncodedFrame(geometry, n, codes.reshape(geometry.shape), window_start)
 
 
@@ -232,6 +260,11 @@ def encode_stream(
     cover the last event; an empty stream yields no frames). In spike mode
     a fresh grid is created unless one is passed in, and its membrane state
     carries across windows.
+
+    The frames' codes are the rows of one zeroed ``(n_windows, pixels)``
+    block in :func:`code_dtype`. A block of more than
+    :data:`MAX_FRAME_BYTES` raises ValueError before anything is
+    allocated or encoded.
     """
     duration = cfg.slicing.window_duration
     if n_windows is None:
@@ -244,16 +277,27 @@ def encode_stream(
     if n_windows * duration > INT64_MAX:
         raise ValueError("window outside representable microsecond range")
 
+    dtype = code_dtype(cfg.slicing.bits_per_frame)
+    pixels = stream.geometry.pixel_count
+    nbytes = n_windows * pixels * dtype.itemsize
+    if nbytes > MAX_FRAME_BYTES:
+        last = "no events" if stream.last_t is None else f"last event at t={stream.last_t} us"
+        raise ValueError(
+            f"{n_windows} windows of {duration} us ({last}) would hold {nbytes} bytes "
+            f"of frame codes, over the limit of {MAX_FRAME_BYTES}"
+        )
+
     if cfg.mode is EncoderMode.SPIKE_TBR and grid is None:
         grid = NeuronGrid(stream.geometry, cfg.neuron)
 
+    block = np.zeros((n_windows, pixels), dtype)
     frames = []
     for w in range(n_windows):
         start = w * duration
         if cfg.mode is EncoderMode.TBR:
-            frames.append(encode_window_tbr(stream, cfg, start))
+            frames.append(encode_window_tbr(stream, cfg, start, block[w]))
         else:
-            frames.append(encode_window_spike_tbr(stream, cfg, grid, start))
+            frames.append(encode_window_spike_tbr(stream, cfg, grid, start, block[w]))
     return frames
 
 
@@ -261,6 +305,8 @@ __all__ = [
     "EncoderMode",
     "EncodedFrame",
     "EncoderConfig",
+    "MAX_FRAME_BYTES",
+    "code_dtype",
     "encode_tbr",
     "decode_tbr",
     "encode_window_tbr",

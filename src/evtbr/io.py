@@ -12,7 +12,8 @@ Event formats
 Frame format
   PGM (P5) with maxval 2**N - 1. One byte per pixel for maxval <= 255,
   otherwise two bytes big-endian. Pixels hold the exact integer codes, so
-  a write/read round trip is the identity.
+  a write/read round trip is the identity; frames read back hold their
+  codes in the encoder's dtype for N (uint8 up to N = 8, else uint16).
 
 All parse errors carry the offending byte or line offset in the message.
 """
@@ -23,11 +24,12 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncodedFrame
+from .encoder import EncodedFrame, code_dtype
 from .events import EventStream, SensorGeometry, event_faults
 
 BINARY_MAGIC = b"EVS1"
@@ -43,6 +45,8 @@ _FILE_RECORD_DTYPE = np.dtype(
 # What counts as a blank CSV line: ASCII whitespace only, as bytes.strip().
 _ASCII_WHITESPACE = " \t\r\x0b\x0c"
 _U16_MAX = np.iinfo(np.uint16).max
+# The bytes of a CSV body that numpy's C parser reads (see _parse_clean_csv).
+_CSV_CLEAN_BYTES = b"0123456789,-\n"
 
 # One PGM header token: skip whitespace and ``#`` comments, then take the
 # non-whitespace run (empty at the end of the data).
@@ -134,14 +138,47 @@ def _check_events(path: Path, geometry: SensorGeometry, t, x, y, p, locate, unit
 
 
 def _read_csv(path: Path, geometry: SensorGeometry) -> EventStream:
-    lines = path.read_bytes().decode("ascii", errors="replace").split("\n")
-    if lines[0].strip() != CSV_HEADER:
+    header, _, body = path.read_bytes().partition(b"\n")
+    if header.decode("ascii", errors="replace").strip() != CSV_HEADER:
         raise EventFileError(f"{path}: line 1: expected header '{CSV_HEADER}'")
+    table = _parse_clean_csv(body)
+    if table is None:
+        return _read_csv_lines(path, geometry, body)
+    t, x, y, p = table.T
+    _check_events(path, geometry, t, x, y, p, lambda k: f"line {k + 2}", "event")
+    return EventStream(geometry, t, x, y, p)
 
-    # The loop only splits and parses; the first line it cannot parse is
-    # reported after any value fault on an earlier line.
+
+def _parse_clean_csv(body: bytes) -> np.ndarray | None:
+    """The (events, 4) int64 table of a clean CSV body, or None.
+
+    A body is clean when it holds only the bytes of :data:`_CSV_CLEAN_BYTES`,
+    has no blank line and ends in LF: then event k sits on line k + 2, and
+    numpy's C parser accepts a field exactly when ``int()`` does and the
+    value fits int64. Everything else (None) goes to
+    :func:`_read_csv_lines`, which gives every message and line number.
+    """
+    if not body.endswith(b"\n") or body.startswith(b"\n") or b"\n\n" in body:
+        return None
+    if body.translate(None, _CSV_CLEAN_BYTES):
+        return None
+    try:
+        table = np.loadtxt(BytesIO(body), delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    # loadtxt takes any uniform column count.
+    return table if table.shape[1] == 4 else None
+
+
+def _read_csv_lines(path: Path, geometry: SensorGeometry, body: bytes) -> EventStream:
+    """Parse a CSV body (the bytes after the header line) one line at a time.
+
+    The loop only splits and parses; the first line it cannot parse is
+    reported after any value fault on an earlier line.
+    """
     values, linenos, unparsed = [], [], None
-    for lineno, raw in enumerate(lines[1:], start=2):
+    lines = body.decode("ascii", errors="replace").split("\n")
+    for lineno, raw in enumerate(lines, start=2):
         fields = raw.split(",")
         if len(fields) != 4:
             if not raw.strip(_ASCII_WHITESPACE):
@@ -201,15 +238,14 @@ def write_frame(frame: EncodedFrame, path: str | Path) -> None:
             f"PGM caps pixels at 16 bits; cannot persist a {frame.n_bits}-bit frame"
         )
     maxval = frame.max_code
-    if int(frame.codes.max(initial=0)) > maxval:
+    codes = frame.codes
+    # Codes whose dtype cannot exceed maxval (uint8 at N = 8) need no scan.
+    if np.iinfo(codes.dtype).max > maxval and int(codes.max(initial=0)) > maxval:
         raise FrameFormatError(f"frame contains codes above maxval {maxval}")
     g = frame.geometry
     header = f"P5\n{g.width} {g.height}\n{maxval}\n".encode("ascii")
-    if maxval <= 255:
-        payload = frame.codes.astype(np.uint8).tobytes()
-    else:
-        payload = frame.codes.astype(">u2").tobytes()
-    Path(path).write_bytes(header + payload)
+    payload = np.ascontiguousarray(codes, dtype=np.uint8 if maxval <= 255 else ">u2")
+    Path(path).write_bytes(header + payload.data)
 
 
 def read_frame(path: str | Path) -> EncodedFrame:
@@ -252,8 +288,8 @@ def read_frame(path: str | Path) -> EncodedFrame:
             f"{path}: byte {pos}: raster holds {len(raster)} bytes, expected {expected}"
         )
     dtype = np.uint8 if bytes_per_pixel == 1 else np.dtype(">u2")
-    codes = np.frombuffer(raster, dtype=dtype).reshape(height, width)
-    return EncodedFrame(geometry, n_bits, codes)
+    codes = np.frombuffer(raster, dtype=dtype).astype(code_dtype(n_bits))
+    return EncodedFrame(geometry, n_bits, codes.reshape(height, width))
 
 
 @dataclass(frozen=True)

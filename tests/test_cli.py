@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ class TestEncode:
         assert run(argv + ["--mode", mode]) == 1
         assert where in capsys.readouterr().err
         assert not list(out_dir.glob("*.pgm"))
+
+    def test_window_count_past_the_code_limit_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "late.bin"
+        stream = EventStream.from_events(SensorGeometry(32, 32), [(10**12, 1, 1, 1)])
+        write_events(stream, f, EventFileFormat.BINARY_V1)
+        out_dir = tmp_path / "d"
+        start = time.perf_counter()
+        assert run(["encode", "--in", str(f), "--out-dir", str(out_dir)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("evtbr: error: 50000001 windows") and "t=1000000000000 us" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_bad_micro_steps_is_data_error(self, tmp_path, capsys):
         stream_file = synth_file(tmp_path)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtbr import encoder
 from evtbr.encoder import (
+    MAX_FRAME_BYTES,
     EncodedFrame,
     EncoderConfig,
     EncoderMode,
@@ -339,6 +341,76 @@ class TestEncodeStream:
         n_windows = np.iinfo(np.int64).max // SLICING.window_duration + 1
         with pytest.raises(ValueError, match="representable"):
             encode_stream(stream, CFG_TBR, n_windows=n_windows)
+
+    def test_window_count_past_the_code_limit_is_rejected_before_encoding(self, monkeypatch):
+        # One event at 10^12 us asks for 5 * 10^7 windows: the block would
+        # exceed MAX_FRAME_BYTES, so nothing is allocated or encoded.
+        monkeypatch.setattr(encoder, "encode_window_tbr", None)
+        stream = EventStream.from_events(SensorGeometry(32, 32), [(10**12, 1, 1, 1)])
+        with pytest.raises(ValueError, match="50000001 windows .*t=1000000000000 us"):
+            encode_stream(stream, CFG_TBR)
+
+    @pytest.mark.parametrize("n_bits,itemsize", [(8, 1), (9, 2)])
+    def test_code_limit_counts_code_bytes(self, monkeypatch, n_bits, itemsize):
+        monkeypatch.setattr(encoder, "MAX_FRAME_BYTES", 4096)
+        cfg = EncoderConfig(SlicingConfig(100, n_bits))
+        stream = EventStream.empty(G)
+        n_windows = 4096 // (G.pixel_count * itemsize)
+        assert len(encode_stream(stream, cfg, n_windows=n_windows)) == n_windows
+        with pytest.raises(ValueError, match=f"{n_windows + 1} windows .*no events"):
+            encode_stream(stream, cfg, n_windows=n_windows + 1)
+
+    def test_late_events_still_give_every_window(self):
+        rows = [(10**9 + 100 * i, i % 4, 0, 1) for i in range(10)]
+        frames = encode_stream(EventStream.from_events(SensorGeometry(32, 32), rows), CFG_TBR)
+        assert len(frames) == 50_001
+        assert frames[-1].codes.any() and not frames[0].codes.any()
+
+
+class TestNarrowCodes:
+    @pytest.mark.parametrize(
+        "n_bits,dtype",
+        [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+         (32, np.uint32)],
+    )
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_codes_use_the_narrowest_dtype(self, n_bits, dtype, mode):
+        cfg = EncoderConfig(SlicingConfig(100, n_bits), mode, NeuronConfig(beta=0.5, v_th=1.0))
+        stream = random_stream(G, n_events=200, duration=3 * 100 * n_bits, seed=n_bits)
+        frames = encode_stream(stream, cfg)
+        assert {f.codes.dtype for f in frames} == {np.dtype(dtype)}
+        assert frames[0].codes.max() > 0
+        if mode is EncoderMode.TBR:
+            solo = encode_window_tbr(stream, cfg, 0)
+        else:
+            solo = spike_encode(stream, cfg)
+        assert solo.codes.dtype == dtype and solo == frames[0]
+
+    def test_frames_are_independent_rows(self):
+        stream = random_stream(G, n_events=400, duration=80_000, seed=4)
+        frames = encode_stream(stream, CFG_TBR)
+        before = [f.codes.copy() for f in frames]
+        frames[1].codes[:] = 255
+        assert all(np.array_equal(f.codes, b) for f, b in zip(frames[2:], before[2:]))
+        assert np.array_equal(frames[0].codes, before[0])
+
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_each_window_goes_through_the_public_encoder(self, monkeypatch, mode):
+        # The benchmark's encoder.windows span wraps these names.
+        name = "encode_window_tbr" if mode is EncoderMode.TBR else "encode_window_spike_tbr"
+        calls = []
+        inner = getattr(encoder, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, name, counting)
+        cfg = EncoderConfig(SLICING, mode, NeuronConfig(beta=0.5, v_th=1.1))
+        stream = random_stream(G, n_events=300, duration=90_000, seed=5)
+        frames = encode_stream(stream, cfg, n_windows=7)
+        assert len(calls) == len(frames) == 7
+
 
 
 @st.composite

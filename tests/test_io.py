@@ -1,12 +1,15 @@
+import itertools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evtbr.encoder import EncodedFrame, encode_tbr
-from evtbr.events import EventStream, SensorGeometry
+from evtbr.encoder import EncodedFrame, EncoderConfig, code_dtype, encode_stream, encode_tbr
+from evtbr.events import EventStream, SensorGeometry, SlicingConfig
 from evtbr.io import (
     BINARY_HEADER_LEN,
     BINARY_MAGIC,
@@ -21,6 +24,7 @@ from evtbr.io import (
     write_events,
     write_frame,
 )
+from evtbr.io import _parse_clean_csv, _read_csv_lines
 
 from helpers import random_stack, random_stream
 
@@ -143,6 +147,98 @@ class TestCsvRead:
         f.write_text(f"t_us,x,y,p\n0,0,0,0\n{2**70},0,0,1\n")
         with pytest.raises(EventFileError, match="line 2: polarity"):
             read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
+
+# Fields and lines just outside what the clean-body parser takes.
+_NEAR_MISS_FIELDS = [" 1", "1 ", "+1", "1_0", "1--2", "-", "", "1\r", "007", "-0"]
+_HUGE_FIELDS = [str(v) for v in (2**63 - 1, 2**63, 2**64 + 3, -(2**63), -(2**63) - 1, 2**70)]
+
+
+@st.composite
+def csv_bodies(draw):
+    """CSV bodies: ordered rows of small values, with near misses mixed in."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-1, 3),
+                st.integers(0, 4),
+                st.integers(0, 3),
+                st.sampled_from([1, -1, 1, 0]),
+            ),
+            max_size=8,
+        )
+    )
+    times = itertools.accumulate(dt for dt, *_ in rows)
+    width = draw(st.sampled_from([4, 4, 3, 5]))
+    lines = [",".join(map(str, [t, x, y, p, 0][:width])) for t, (_, x, y, p) in zip(times, rows)]
+    field = st.one_of(
+        st.integers(-2, 5).map(str),
+        st.sampled_from(_NEAR_MISS_FIELDS),
+        st.sampled_from(_HUGE_FIELDS),
+    )
+    odd_line = st.one_of(
+        st.just(""),
+        st.lists(field, min_size=3, max_size=5).map(",".join),
+        st.sampled_from([" ", "\r", "0,0,0,1\r"]),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd_line))
+    end = draw(st.sampled_from(["\n", "\n", "", "\r\n", "\n\n"]))
+    return ("\n".join(lines) + end).encode("ascii")
+
+
+def _parse_outcome(parse):
+    try:
+        stream = parse()
+    except EventFileError as exc:
+        return str(exc)
+    return [(c.tolist(), c.dtype) for c in (stream.t, stream.x, stream.y, stream.p)]
+
+
+class TestCsvFastPath:
+    @settings(max_examples=300)
+    @given(csv_bodies())
+    @example(b"\n0,0,0,2\n")
+    @example(b"0,0,0,1\n\n0,9,0,1\n")
+    @example(b"0,0,0\n")
+    def test_matches_the_line_loop(self, body):
+        with tempfile.TemporaryDirectory() as d:
+            f = Path(d) / "ev.csv"
+            f.write_bytes(CSV_HEADER.encode("ascii") + b"\n" + body)
+            fast = _parse_outcome(lambda: read_events(f, EventFileFormat.TEXT_CSV, geometry=G))
+            loop = _parse_outcome(lambda: _read_csv_lines(f, G, body))
+        assert fast == loop
+
+    def test_written_files_take_the_fast_path(self, tmp_path):
+        stream = random_stream(SensorGeometry(64, 48), n_events=500, duration=50_000, seed=2)
+        f = tmp_path / "ev.csv"
+        write_events(stream, f, EventFileFormat.TEXT_CSV)
+        body = f.read_bytes().partition(b"\n")[2]
+        table = _parse_clean_csv(body)
+        assert table is not None and table.dtype == np.int64
+        columns = (stream.t, stream.x, stream.y, stream.p)
+        assert [c.tolist() for c in table.T] == [c.tolist() for c in columns]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"0,0,0,1",  # no final LF
+            b"\n0,0,0,1\n",  # blank first line
+            b"0,0,0,1\n\n1,0,0,1\n",
+            b"0,0,0,1\r\n",
+            b"0, 0,0,1\n",
+            b"+0,0,0,1\n",
+            b"1_0,0,0,1\n",
+            b"0,0,0\n1,1,1\n",  # a uniform 3-column table
+            b"0,0,0,1,0\n",
+            b"1--2,0,0,1\n",
+            f"{2**63},0,0,1\n".encode(),
+            f"{-(2**63) - 1},0,0,1\n".encode(),
+        ],
+    )
+    def test_near_misses_take_the_line_loop(self, body):
+        assert _parse_clean_csv(body) is None
+
 
 
 class TestCsvWrite:
@@ -334,6 +430,25 @@ class TestFrameWrite:
         with pytest.raises(FrameFormatError, match="maxval"):
             write_frame(frame, tmp_path / "frame.pgm")
 
+
+    @pytest.mark.parametrize("n_bits", [8, 12, 16])
+    def test_narrow_codes_write_the_bytes_of_wide_codes(self, tmp_path, n_bits):
+        stream = random_stream(G, n_events=300, duration=400 * n_bits, seed=n_bits)
+        (frame,) = encode_stream(stream, EncoderConfig(SlicingConfig(100, n_bits)), n_windows=1)
+        assert frame.codes.dtype == code_dtype(n_bits) and frame.codes.any()
+        wide = EncodedFrame(G, n_bits, frame.codes.astype(np.uint32))
+        write_frame(frame, tmp_path / "narrow.pgm")
+        write_frame(wide, tmp_path / "wide.pgm")
+        assert (tmp_path / "narrow.pgm").read_bytes() == (tmp_path / "wide.pgm").read_bytes()
+        back = read_frame(tmp_path / "narrow.pgm")
+        assert back.codes.dtype == code_dtype(n_bits)
+        assert np.array_equal(back.codes, frame.codes)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_rejects_wide_codes_above_an_eight_bit_maxval(self, tmp_path, dtype):
+        frame = EncodedFrame(G, 8, np.full(G.shape, 256, dtype=dtype))
+        with pytest.raises(FrameFormatError, match="maxval 255"):
+            write_frame(frame, tmp_path / "frame.pgm")
 
 class TestFrameRead:
     @pytest.mark.parametrize("n_bits", [1, 2, 4, 8, 9, 12, 16])

@@ -101,6 +101,18 @@ class TestFrameDistance:
         d = frame_distance(a, b)
         assert d.l1_mean > 0 and d.hamming_bits == 1 and d.changed_pixels == 1
 
+    @pytest.mark.parametrize(
+        "dtypes", [(np.uint8, np.uint8), (np.uint8, np.uint32), (np.uint32, np.uint8)]
+    )
+    def test_narrow_codes_give_the_wide_distance(self, dtypes):
+        rng = np.random.default_rng(4)
+        a_codes, b_codes = rng.integers(0, 256, size=(2, 4, 4))
+        wide = frame_distance(frame(a_codes), frame(b_codes))
+        a = EncodedFrame(G, 8, a_codes.astype(dtypes[0]))
+        b = EncodedFrame(G, 8, b_codes.astype(dtypes[1]))
+        assert (a.codes.dtype, b.codes.dtype) == dtypes
+        assert frame_distance(a, b) == wide
+
     def test_geometry_mismatch_rejected(self):
         a = frame(np.zeros((4, 4)))
         b = EncodedFrame(SensorGeometry(5, 5), 8, np.zeros((5, 5), dtype=np.uint32))
