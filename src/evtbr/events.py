@@ -33,6 +33,18 @@ MAX_PIXELS = 1 << 24
 _COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a`` in ascending order, as ``np.unique`` gives them.
+
+    A sort and an adjacent-difference mask: the first ``np.unique`` call
+    in a process imports ``numpy.ma`` (about 16 ms).
+    """
+    a = np.sort(a)
+    if len(a) > 1:
+        a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a
+
+
 class Event(NamedTuple):
     """A single sensor event."""
 

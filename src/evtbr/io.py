@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncodedFrame, code_dtype
-from .events import EventStream, SensorGeometry, event_faults
+from .events import EventStream, SensorGeometry, event_faults, sorted_unique
 
 BINARY_MAGIC = b"EVS1"
 BINARY_HEADER_LEN = 12
@@ -330,7 +330,7 @@ def stream_info(stream: EventStream) -> StreamStats:
         events_per_second=rate,
         positive_count=pos,
         negative_count=n - pos,
-        active_pixel_count=int(np.unique(flat).size),
+        active_pixel_count=len(sorted_unique(flat)),
     )
 
 

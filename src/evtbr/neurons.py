@@ -26,14 +26,19 @@ event cannot fire a neuron: charge from at least two events must meet on
 the membrane before it has fully leaked away. That is the noise filter the
 spike-based encoder builds on.
 
-Cost per step: only the leak is dense, O(pixels). A step built by
-:meth:`StepInput.from_events` carries one weight per event and its flat
-pixel index, and the grid adds those weights to the touched membranes
-only. With ``v_rest == 0`` and fewer than one event per 16 pixels, the
-threshold test, the reset and the recurrent feedback touch only the
-step's input pixels and the previous step's spikers, O(events); other
-steps test every membrane. Both ways every neuron follows the update
-above exactly.
+Cost per step: a step built by :meth:`StepInput.from_events` carries one
+weight per event and its flat pixel index, and the grid adds those
+weights to the touched membranes only. With ``v_rest == 0`` and fewer
+than one event per 16 pixels, the threshold test, the reset and the
+recurrent feedback touch only the step's input pixels and the previous
+step's spikers; other steps test every membrane. The leak is dense,
+O(pixels), unless moreover ``beta = 2**-m`` (the default 0.5 included)
+and the step holds fewer than one event per 128 pixels beyond the first
+65 536, as at 1280x720 with a few thousand events: then each touched
+membrane is caught up on its idle steps at once, and the whole step is
+O(events). Either way every neuron follows the update above exactly.
+The spike frame a step returns is one reused buffer, valid until the next
+step.
 
 Accounting: the grid counts one accumulate operation (AC) per event
 integrated plus one per recurrent feedback addition actually applied, and
@@ -49,12 +54,30 @@ from enum import Enum
 
 import numpy as np
 
-from .events import SensorGeometry
+from .events import SensorGeometry, sorted_unique
 
 SpikeFrame = np.ndarray
-"""(H, W) boolean array: True where a neuron fired during a step."""
+"""(H, W) boolean array: True where a neuron fired during a step.
+
+``NeuronGrid.step`` returns a read-only view that the next step reuses."""
 
 _NONE_FIRED = np.empty(0, dtype=np.intp)
+
+_SMALLEST_NORMAL = 2.0**-1022
+# Rounded multiplies by beta <= 1/2 that take any float below 2**-1022 to
+# zero: it is at most 2**52 units of 2**-1074 after the first, and each
+# further one halves it or more, rounding to even.
+_ZERO_AFTER = 64
+# Leak steps after which every finite membrane is zero: at most 2045 exact
+# ones, then _ZERO_AFTER rounded ones.
+_GAP_CAP = 2045 + _ZERO_AFTER
+# The lazy clock restarts from 0 here, so int32 clock values never overflow.
+_CLOCK_LIMIT = 2**31 - 1 - _GAP_CAP
+
+# A step goes lazy below one event per _LAZY_PIXELS_PER_EVENT pixels beyond
+# _LAZY_MIN_PIXELS (see NeuronGrid.step).
+_LAZY_MIN_PIXELS = 65536
+_LAZY_PIXELS_PER_EVENT = 128
 
 
 class NeuronVariant(str, Enum):
@@ -156,31 +179,63 @@ class NeuronGrid:
     One encoder owns a grid at a time. All updates are vectorized and
     elementwise, so the spike output is independent of pixel iteration
     order by construction.
+
+    With ``v_rest == 0`` and ``beta = 2**-m`` the leak is lazy on steps
+    with few events: the grid keeps a step clock and, per neuron, the step
+    its membrane was last brought up to date, and a step updates only the
+    neurons it touches. Reading :attr:`v` brings every membrane up to
+    date first, so reads and writes through ``grid.v`` see the dense
+    chain; read it anew after each step.
     """
 
     def __init__(self, geometry: SensorGeometry, config: NeuronConfig) -> None:
         self.geometry = geometry
         self.config = config
-        self.v = np.full(geometry.shape, config.v_rest, dtype=np.float64)
+        n = geometry.pixel_count
+        self._v = np.full(n, config.v_rest, dtype=np.float64)
         # Flat indices of the neurons that fired on the last step.
         self.fired = _NONE_FIRED
         # Per-pixel weight sums of a sparse step; all zero between steps.
-        self._scratch = np.zeros(geometry.pixel_count, dtype=np.float64)
+        self._scratch = np.zeros(n, dtype=np.float64)
+        # The spike frame step returns: True exactly at ``fired``.
+        self._frame = np.zeros(n, dtype=np.bool_)
+        self._frame_view = self._frame.reshape(geometry.shape)
+        self._frame_view.flags.writeable = False
+        # Lazy leak: m with beta == 2**-m, or None for the dense leak. The
+        # clock counts lazy leak steps; neuron i's membrane is current as of
+        # clock value _last[i], and every one is as of _synced.
+        self._shift = _halving_shift(config)
+        self._clock = self._synced = 0
+        self._last = np.zeros(n, dtype=np.int32) if self._shift is not None else None
         self.ac_count = 0
         self.spike_count = 0
+
+    @property
+    def v(self) -> np.ndarray:
+        """(H, W) membrane potentials, brought up to date with the step clock."""
+        self._sync()
+        return self._v.reshape(self.geometry.shape)
 
     def step(self, inp: StepInput) -> SpikeFrame:
         """Advance every neuron by one timestep; return the spike frame.
 
-        ``fired`` then holds the ascending flat indices (``y * width + x``)
-        of the neurons that fired. With a sparse input of fewer than one
-        event per 16 pixels and ``v_rest == 0``, the threshold is tested
-        only on the input's pixels and, for ``reclif`` and ``lrlif``, on the
-        previous step's spikers: the leak then never raises a membrane
-        (``beta * v <= max(v, 0)``), so no other neuron can cross. This
-        relies on each step leaving every membrane but its spikers' below
-        ``v_th``; a membrane written directly at or above ``v_th`` is only
-        caught by a step that tests them all.
+        The frame is a read-only view of a buffer the grid reuses: it is
+        valid until the next ``step`` or ``reset``. ``fired`` then holds the
+        ascending flat indices (``y * width + x``) of the neurons that fired.
+
+        With a sparse input of fewer than one event per 16 pixels and
+        ``v_rest == 0``, the threshold is tested only on the input's pixels
+        and, for ``reclif`` and ``lrlif``, on the previous step's spikers:
+        the leak then never raises a membrane (``beta * v <= max(v, 0)``),
+        so no other neuron can cross. This relies on each step leaving every
+        membrane but its spikers' below ``v_th``; a membrane written
+        directly at or above ``v_th`` is only caught by a step that tests
+        them all.
+
+        If moreover ``beta = 2**-m``, such a step can leak only those same
+        neurons and cost O(events): it does so below one event per 128
+        pixels beyond the first 65 536, and after a lazy step it keeps
+        doing so until :attr:`v` is read or a step is not sparse.
         """
         pixels = inp.pixels
         if pixels is None and inp.values.shape != self.geometry.shape:
@@ -188,16 +243,39 @@ class NeuronGrid:
                 f"input shape {inp.values.shape} does not match grid {self.geometry.shape}"
             )
         cfg = self.config
-        v = self.v.reshape(-1)
+        v = self._v
         prev = self.fired
         # Below one event per 16 pixels scattered adds beat a full histogram.
         sparse = pixels is not None and 16 * len(pixels) < v.size
+        # The neurons a sparse step can make cross the threshold. The hard
+        # reset leaves lif and plif spikers at rest, where they stay.
+        candidates = pixels
+        if sparse and len(prev) and cfg.variant in (NeuronVariant.REC_LIF, NeuronVariant.LR_LIF):
+            candidates = np.concatenate((pixels, prev))
+        # A lazy leak beats a dense one below one event per
+        # _LAZY_PIXELS_PER_EVENT pixels beyond _LAZY_MIN_PIXELS. Once steps
+        # have gone lazy, every sparse step does: the dense leak would first
+        # sync every membrane, which costs more than the step's events.
+        lazy = (
+            sparse
+            and self._shift is not None
+            and (
+                self._synced != self._clock
+                or _LAZY_MIN_PIXELS + _LAZY_PIXELS_PER_EVENT * len(pixels) < v.size
+            )
+        )
 
         # Leak before integrating: the input arriving in this step is taken
         # at full strength.
-        self._leak()
+        if lazy:
+            self._tick(1)
+            if len(candidates):
+                self._catch_up(candidates)
+        else:
+            self._sync()
+            self._leak()
         if pixels is None:
-            self.v += inp.values
+            v += inp.values.reshape(-1)
         elif not sparse:
             v += np.bincount(pixels, inp.values, v.size)
         elif len(pixels):
@@ -208,17 +286,16 @@ class NeuronGrid:
             v[prev] += 1.0
             self.ac_count += len(prev)
 
+        frame = self._frame
         if sparse and cfg.v_rest == 0.0:
-            if cfg.variant in (NeuronVariant.REC_LIF, NeuronVariant.LR_LIF) and len(prev):
-                pixels = np.concatenate((pixels, prev))
-            fired = pixels[v[pixels] >= cfg.v_th]
-            if len(fired) > 1:  # np.unique costs microseconds even on empty arrays
-                fired = np.unique(fired)
-            spikes = np.zeros(v.size, dtype=np.bool_)
-            spikes[fired] = True
+            fired = candidates[v[candidates] >= cfg.v_th]
+            if len(fired) > 1:
+                fired = sorted_unique(fired)
+            frame[prev] = False
+            frame[fired] = True
         else:
-            spikes = v >= cfg.v_th
-            fired = np.flatnonzero(spikes)
+            np.greater_equal(v, cfg.v_th, out=frame)
+            fired = np.flatnonzero(frame)
         if len(fired):
             if cfg.variant.hard_reset:
                 v[fired] = cfg.v_rest
@@ -226,16 +303,22 @@ class NeuronGrid:
                 v[fired] -= cfg.v_th
         self.fired = fired
         self.spike_count += len(fired)
-        return spikes.reshape(self.geometry.shape)
+        return self._frame_view
 
     def decay_only(self, steps: int) -> "NeuronGrid":
         """Apply ``steps`` zero-input leak updates without thresholding.
 
-        With v_rest = 0 this multiplies the membrane by beta**steps exactly
-        as the closed-form decay law states.
+        Each update is the step's leak, so the membrane follows
+        ``v_rest + beta**steps * (v - v_rest)`` up to the rounding of each
+        multiply: exactly for ``beta = 2**-m`` while the membrane stays a
+        normal float, within rounding for other betas. On the lazy leak
+        (``v_rest == 0``, ``beta = 2**-m``) this only advances the clock.
         """
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
+        if self._shift is not None:
+            self._tick(steps)
+            return self
         for _ in range(steps):
             self._leak()
         return self
@@ -255,17 +338,95 @@ class NeuronGrid:
     def _leak(self) -> None:
         """Decay every membrane one step toward v_rest, in place."""
         cfg = self.config
+        v = self._v
         if cfg.v_rest == 0.0:
-            self.v *= cfg.beta
+            v *= cfg.beta
         else:
-            self.v -= cfg.v_rest
-            self.v *= cfg.beta
-            self.v += cfg.v_rest
+            v -= cfg.v_rest
+            v *= cfg.beta
+            v += cfg.v_rest
+
+    def _tick(self, steps: int) -> None:
+        """Advance the lazy clock by ``steps`` leak steps.
+
+        It moves at most _GAP_CAP at once: every longer gap leaves the same
+        zeros.
+        """
+        if self._clock >= _CLOCK_LIMIT:
+            self._sync()
+            self._last.fill(0)
+            self._clock = self._synced = 0
+        self._clock += min(steps, _GAP_CAP)
+
+    def _sync(self) -> None:
+        """Bring every membrane up to date with the step clock."""
+        if self._synced == self._clock:
+            return
+        self._v[:] = self._decayed(self._v, self._clock - self._last)
+        self._last.fill(self._clock)
+        self._synced = self._clock
+
+    def _catch_up(self, neurons: np.ndarray) -> None:
+        """Bring the given neurons (flat indices, repeats allowed) up to date."""
+        gaps = self._clock - self._last[neurons]
+        self._last[neurons] = self._clock
+        self._v[neurons] = self._decayed(self._v[neurons], gaps)
+
+    def _decayed(self, v: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """``v`` after ``gaps`` leak steps each, bit for bit as ``v *= beta`` repeated.
+
+        Multiplying by ``2**-m`` is exact while the product is a normal
+        float, so one ``ldexp`` does the steps that stay at or above
+        2**-1022. Below it every product rounds to a multiple of 2**-1074,
+        and repeated rounding differs from one rounding, so those last steps
+        are taken one multiply at a time.
+        """
+        m = self._shift
+        if m == 0:
+            return v
+        gaps = np.minimum(gaps, _GAP_CAP)
+        out = np.ldexp(v, gaps * -m)
+        low = np.abs(out) < _SMALLEST_NORMAL
+        low &= v != 0.0
+        if low.any():
+            sel = np.flatnonzero(low)
+            out[sel] = _subnormal_chain(v[sel], gaps[sel], m, self.config.beta)
+        return out
 
     def reset(self) -> None:
         """Return every membrane to rest and clear the pending spikers."""
-        self.v.fill(self.config.v_rest)
+        self._v.fill(self.config.v_rest)
+        if self._last is not None:
+            self._last.fill(self._clock)
+        self._synced = self._clock
+        self._frame[self.fired] = False
         self.fired = _NONE_FIRED
+
+
+def _halving_shift(config: NeuronConfig) -> int | None:
+    """m such that ``beta == 2**-m`` when the leak may be lazy, else None."""
+    mantissa, exponent = math.frexp(config.beta)
+    if config.v_rest != 0.0 or mantissa != 0.5:
+        return None
+    return 1 - exponent
+
+
+def _subnormal_chain(v: np.ndarray, gaps: np.ndarray, m: int, beta: float) -> np.ndarray:
+    """Apply ``gaps`` multiplies by ``beta = 2**-m`` to nonzero ``v``, rounding as each would.
+
+    The first j steps keep ``|v| * 2**(-m*j) >= 2**-1022`` and are exact;
+    with ``v = f * 2**e``, ``0.5 <= |f| < 1``, that holds for all
+    ``m*j <= e + 1021``. The rest are rounded multiplies, and within
+    _ZERO_AFTER of them every value is a (signed) zero.
+    """
+    _, e = np.frexp(v)
+    exact = np.minimum(gaps, np.maximum((e + 1021) // m, 0))
+    w = np.ldexp(v, -m * exact)
+    rest = gaps - exact
+    w[rest >= _ZERO_AFTER] *= 0.0
+    for i in range(int(min(rest.max(), _ZERO_AFTER))):
+        w = np.where(rest > i, w * beta, w)
+    return w
 
 
 __all__ = [

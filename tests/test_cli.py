@@ -376,6 +376,29 @@ class TestInfo:
         assert capsys.readouterr().out.startswith("events=1")
 
 
+class TestImports:
+    def test_encode_and_info_leave_numpy_ma_unimported(self, tmp_path):
+        # The first np.unique call in a process imports numpy.ma (~16 ms).
+        # Two events on each of ten pixels in one micro step make ten
+        # neurons fire together, on a grid that leaks lazily.
+        rows = [(10, x, 5, 1) for x in range(0, 20, 2) for _ in range(2)]
+        src = tmp_path / "ev.bin"
+        write_events(EventStream.from_events(SensorGeometry(320, 240), rows), src,
+                     EventFileFormat.BINARY_V1)
+        encode = ["encode", "--in", str(src), "--mode", "spike-tbr", "--neuron", "lif",
+                  "--beta", "0.5", "--out-dir", str(tmp_path / "frames")]
+        script = (
+            "import sys; from evtbr.cli import main; "
+            f"assert main({encode!r}) == 0; assert main(['info', '--in', {str(src)!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        frame = read_frame(next((tmp_path / "frames").glob("*.pgm")))
+        assert np.count_nonzero(frame.codes) == 10
+
+
 class TestGeometryLimit:
     def test_size_over_limit_is_usage_error(self):
         assert _size_arg("4096x4096") == SensorGeometry(4096, 4096)

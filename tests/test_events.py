@@ -10,12 +10,22 @@ from evtbr.events import (
     SlicingConfig,
     merge_sorted_by_time,
     slice_stream,
+    sorted_unique,
     validate_stream,
 )
 from helpers import random_stream
 
 G44 = SensorGeometry(4, 4)
 DT = SlicingConfig(slice_duration=2500, bits_per_frame=8)
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+    def test_matches_np_unique(self, n):
+        a = np.random.default_rng(n).integers(0, 20, n)
+        got = sorted_unique(a)
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, np.unique(a))
 
 
 class TestGeometry:

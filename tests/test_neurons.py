@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtbr import neurons
 from evtbr.events import SensorGeometry
 from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant, StepInput
 
 G = SensorGeometry(4, 4)
+# With v_rest = 0 and beta = 2**-m, a fresh 320x240 grid leaks lazily on
+# every step of fewer than 88 events; grids of 65 536 pixels or fewer never do.
+LAZY_GEOMETRY = SensorGeometry(320, 240)
 
 
 def one_pixel_input(value: float, x: int = 1, y: int = 1, count: int = 1) -> StepInput:
@@ -105,34 +109,45 @@ class TestStepInput:
 
 @st.composite
 def sparse_step_cases(draw):
-    """A neuron config, a geometry and per-step (x, y, p) events with repeated pixels."""
+    """A neuron config, a geometry and per-step (x, y, p) events with repeated pixels.
+
+    In lazy cases the grid is LAZY_GEOMETRY with v_rest = 0, so every step
+    leaks lazily when beta = 2**-m (0.3 keeps the dense leak).
+    """
+    lazy = draw(st.booleans())
     variant = draw(st.sampled_from(list(NeuronVariant)))
     cfg = NeuronConfig(
         variant=variant,
-        beta=draw(st.sampled_from([0.3, 0.5, 0.9, 1.0])),
+        beta=draw(st.sampled_from([0.25, 0.3, 0.5, 1.0] + ([] if lazy else [0.9]))),
         v_th=draw(st.sampled_from([0.9, 1.1, 1.6])),
-        v_rest=draw(st.sampled_from([0.0, 0.3, -0.2])),
+        v_rest=0.0 if lazy else draw(st.sampled_from([0.0, 0.3, -0.2])),
         weight_pos=draw(st.sampled_from([1.0, 0.7, 2.5])),
         weight_neg=draw(st.sampled_from([1.0, 0.45, -0.6, -1.3])),
     )
     # 40x30 and 64x48 keep every step below one event per 16 pixels
     # (scattered adds, and the candidate threshold test when v_rest == 0);
     # 4x4 sends every non-empty step through the full histogram.
-    geometry = SensorGeometry(*draw(st.sampled_from([(4, 4), (16, 8), (40, 30), (64, 48)])))
+    sizes = [(4, 4), (16, 8), (40, 30), (64, 48)]
+    geometry = LAZY_GEOMETRY if lazy else SensorGeometry(*draw(st.sampled_from(sizes)))
     pixel = st.tuples(st.integers(0, geometry.width - 1), st.integers(0, geometry.height - 1))
     pool = draw(st.lists(pixel, min_size=1, max_size=5))
     event = st.tuples(st.sampled_from(pool), st.sampled_from([1, -1]))
     steps = draw(st.lists(st.lists(event, max_size=12), min_size=1, max_size=40))
-    return cfg, geometry, steps
+    # Reading v brings every lazy membrane up to date, so lazy grids are read
+    # only after some steps, leaving gaps of several steps between the others.
+    reads = [True] * len(steps)
+    if lazy:
+        reads = draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    return cfg, geometry, steps, reads
 
 
 class TestSparseStepInput:
-    @settings(max_examples=200)
+    @settings(max_examples=400)
     @given(sparse_step_cases())
     def test_sparse_matches_dense_bincount(self, case):
-        cfg, geometry, steps = case
+        cfg, geometry, steps, reads = case
         sparse, dense = NeuronGrid(geometry, cfg), NeuronGrid(geometry, cfg)
-        for events in steps:
+        for events, read in zip(steps, reads):
             x = np.array([e[0][0] for e in events], dtype=np.int64)
             y = np.array([e[0][1] for e in events], dtype=np.int64)
             p = np.array([e[1] for e in events], dtype=np.int64)
@@ -145,9 +160,13 @@ class TestSparseStepInput:
             assert np.array_equal(frame, dense.step(dense_inp))
             assert np.array_equal(sparse.fired, np.flatnonzero(frame))
             assert np.array_equal(dense.fired, np.flatnonzero(frame))
-            assert np.array_equal(sparse.v, dense.v)
+            if read:
+                assert np.array_equal(sparse.v, dense.v)
+        assert np.array_equal(sparse.v, dense.v)
         assert sparse.ac_count == dense.ac_count
         assert sparse.spike_count == dense.spike_count
+        if geometry == LAZY_GEOMETRY and cfg.beta != 0.3:
+            assert lazy_steps(sparse) == len(steps)
 
     def test_scratch_is_cleared_between_steps(self):
         big = SensorGeometry(64, 64)
@@ -229,6 +248,163 @@ class TestCandidateSet:
         assert frame[7, 5] and frame.sum() == 1
         assert np.array_equal(frame, dense.step(StepInput.zeros(self.BIG)))
         assert sparse.fired.tolist() == dense.fired.tolist() == [self.FLAT]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-for-bit equality of two float arrays, signed zeros included."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def lazy_steps(grid: NeuronGrid) -> int:
+    """Leak steps the grid has taken lazily."""
+    return grid._clock
+
+
+class TestLazyLeak:
+    """With v_rest = 0 and beta = 2**-m, sparse steps leak only the neurons they touch."""
+
+    @pytest.mark.parametrize(
+        "size,events,lazy",
+        [
+            ((64, 64), 1, False),
+            ((128, 128), 1, False),
+            ((128, 128), 250, False),
+            ((320, 240), 87, True),
+            ((320, 240), 88, False),
+            ((1280, 720), 250, True),
+            ((1280, 720), 8000, False),
+        ],
+    )
+    def test_events_against_pixels_choose_the_path(self, size, events, lazy):
+        geometry = SensorGeometry(*size)
+        grid = NeuronGrid(geometry, NeuronConfig(beta=0.5))
+        pixels = np.random.default_rng(0).integers(0, geometry.pixel_count, events)
+        grid.step(StepInput(np.ones(events), events, pixels))
+        assert lazy_steps(grid) == int(lazy)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [NeuronConfig(beta=0.3), NeuronConfig(beta=0.5, v_rest=-0.1), NeuronConfig(beta=0.75)],
+        ids=["beta-0.3", "v_rest", "beta-0.75"],
+    )
+    def test_other_configs_keep_the_dense_leak(self, cfg):
+        grid = NeuronGrid(LAZY_GEOMETRY, cfg)
+        grid.step(one_event_input(LAZY_GEOMETRY, cfg, 5, 7))
+        grid.decay_only(3)
+        assert lazy_steps(grid) == 0
+
+    def test_sparse_steps_stay_lazy_until_v_is_read(self):
+        cfg = NeuronConfig(beta=0.5)
+        grid = NeuronGrid(LAZY_GEOMETRY, cfg)
+        rng = np.random.default_rng(1)
+
+        def burst(n):
+            return StepInput(np.ones(n), n, rng.integers(0, LAZY_GEOMETRY.pixel_count, n))
+
+        grid.step(burst(10))
+        grid.step(burst(500))  # dense on a synced grid; lazy once a step went lazy
+        assert lazy_steps(grid) == 2
+        assert grid.v.shape == LAZY_GEOMETRY.shape  # the read syncs every membrane
+        grid.step(burst(500))
+        assert lazy_steps(grid) == 2
+
+    @pytest.mark.parametrize("beta", [0.5, 0.25])
+    def test_idle_chains_into_subnormals_match_the_dense_chain(self, beta):
+        # Every step puts a fresh pixel at 1 + 2**-52 and another at -0.7;
+        # after 1200 steps their idle gaps span 0..1199, across the steps
+        # where the chain leaves the normal floats (about 1022 at 0.5, 511
+        # at 0.25). The reference is a plain array leaked by ``*= beta``.
+        cfg = NeuronConfig(beta=beta, weight_pos=1 + 2**-52, weight_neg=-0.7)
+        grid = NeuronGrid(LAZY_GEOMETRY, cfg)
+        chain = np.zeros(LAZY_GEOMETRY.pixel_count)
+        total, lanes = 1200, 10_000
+        rng = np.random.default_rng(7)
+        written = {
+            0: [1 + 2**-52, 3 * 2**-1074, 2**-1022 * (1 + 2**-52), -0.3],
+            # Random mantissas that idle into the subnormals at the end.
+            total - int(2100 * beta): list(  # idle 1050 steps at 0.5, 525 at 0.25
+                rng.uniform(-1.0, 1.0, 100) * 2.0 ** rng.integers(-60, 60, 100)
+            ),
+        }
+        for step in range(total):
+            if step in written:
+                values = written[step]
+                grid.v.reshape(-1)[lanes : lanes + len(values)] = values
+                chain[lanes : lanes + len(values)] = values
+                lanes += len(values)
+            y, x = np.divmod(np.array([2 * step, 2 * step + 1]), LAZY_GEOMETRY.width)
+            grid.step(StepInput.from_events(LAZY_GEOMETRY, x, y, np.array([1, -1]), cfg))
+            chain *= beta
+            chain[2 * step] += cfg.weight_pos
+            chain[2 * step + 1] += cfg.weight_neg
+        assert lazy_steps(grid) == total
+        assert ((chain != 0.0) & (np.abs(chain) < 2.0**-1022)).any()
+        assert (chain < 0.0).any() and (chain == 0.0).any()
+        assert same_bits(grid.v.reshape(-1), chain)
+
+    @pytest.mark.parametrize("clock_limit", [None, 7], ids=["clock", "restarting-clock"])
+    @pytest.mark.parametrize("beta", [0.5, 0.25, 1.0])
+    def test_direct_writes_between_lazy_steps_match_the_dense_chain(
+        self, beta, clock_limit, monkeypatch
+    ):
+        if clock_limit is not None:
+            monkeypatch.setattr(neurons, "_CLOCK_LIMIT", clock_limit)
+        cfg = NeuronConfig(variant=NeuronVariant.LR_LIF, beta=beta, weight_neg=-0.6)
+        lazy, dense = NeuronGrid(LAZY_GEOMETRY, cfg), NeuronGrid(LAZY_GEOMETRY, cfg)
+        rng = np.random.default_rng(3)
+        pool = rng.integers(0, LAZY_GEOMETRY.pixel_count, 20)
+        for step in range(300):
+            n = int(rng.integers(0, 8))
+            pixels, p = rng.choice(pool, n), rng.choice([1, -1], n)
+            w = np.where(p > 0, cfg.weight_pos, cfg.weight_neg)
+            frame = lazy.step(StepInput(w, n, pixels))
+            sums = np.bincount(pixels, w, LAZY_GEOMETRY.pixel_count).reshape(LAZY_GEOMETRY.shape)
+            assert np.array_equal(frame, dense.step(StepInput(sums, n)))
+            if step % 37 == 5:
+                y, x = divmod(int(rng.choice(pool)), LAZY_GEOMETRY.width)
+                value = float(rng.uniform(-2.0, 1.0))
+                lazy.v[y, x] = value
+                dense.v[y, x] = value
+        if clock_limit is None:
+            assert lazy_steps(lazy) == 300
+        else:
+            assert lazy_steps(lazy) <= clock_limit + 1
+        # The dense step adds +0.0 to every membrane, turning -0.0 into +0.0.
+        assert same_bits(lazy.v + 0.0, dense.v + 0.0)
+
+    def test_decay_only_advances_the_clock(self):
+        grid = NeuronGrid(LAZY_GEOMETRY, NeuronConfig(beta=0.5))
+        grid.v[1, 2] = 3.0
+        grid.decay_only(4)
+        assert lazy_steps(grid) == 4
+        assert grid.v[1, 2] == 3.0 / 16
+        grid.decay_only(10**9)
+        assert grid.v[1, 2] == 0.0
+
+
+class TestSpikeFrame:
+    """step returns one read-only buffer, valid until the next step."""
+
+    @pytest.mark.parametrize("geometry", [G, LAZY_GEOMETRY], ids=["dense", "lazy"])
+    def test_frame_holds_only_the_last_steps_spikers(self, geometry):
+        cfg = NeuronConfig(beta=0.5, v_th=1.0)
+        grid = NeuronGrid(geometry, cfg)
+        first = grid.step(one_event_input(geometry, cfg, 1, 1))
+        assert not first.flags.writeable
+        assert np.flatnonzero(first).tolist() == [geometry.width + 1]
+        second = grid.step(one_event_input(geometry, cfg, 2, 3))
+        assert second is first
+        assert np.flatnonzero(second).tolist() == [3 * geometry.width + 2] == grid.fired.tolist()
+        dense = grid.step(StepInput.zeros(geometry))
+        assert not dense.any()
+        grid.step(one_event_input(geometry, cfg, 0, 0))
+        grid.reset()
+        assert not grid.step(empty_sparse_input(geometry, cfg)).any()
+
+    def test_frame_cannot_be_written(self):
+        frame = NeuronGrid(G, NeuronConfig(beta=0.5)).step(StepInput.zeros(G))
+        with pytest.raises(ValueError):
+            frame[0, 0] = True
 
 
 class TestStep:
