@@ -234,8 +234,8 @@ class NeuronGrid:
 
         If moreover ``beta = 2**-m``, such a step can leak only those same
         neurons and cost O(events): it does so below one event per 128
-        pixels beyond the first 65 536, and after a lazy step it keeps
-        doing so until :attr:`v` is read or a step is not sparse.
+        pixels beyond the first 65 536. Any other step first brings every
+        membrane up to date, as reading :attr:`v` does.
         """
         pixels = inp.pixels
         if pixels is None and inp.values.shape != self.geometry.shape:
@@ -253,16 +253,11 @@ class NeuronGrid:
         if sparse and len(prev) and cfg.variant in (NeuronVariant.REC_LIF, NeuronVariant.LR_LIF):
             candidates = np.concatenate((pixels, prev))
         # A lazy leak beats a dense one below one event per
-        # _LAZY_PIXELS_PER_EVENT pixels beyond _LAZY_MIN_PIXELS. Once steps
-        # have gone lazy, every sparse step does: the dense leak would first
-        # sync every membrane, which costs more than the step's events.
+        # _LAZY_PIXELS_PER_EVENT pixels beyond _LAZY_MIN_PIXELS.
         lazy = (
             sparse
             and self._shift is not None
-            and (
-                self._synced != self._clock
-                or _LAZY_MIN_PIXELS + _LAZY_PIXELS_PER_EVENT * len(pixels) < v.size
-            )
+            and _LAZY_MIN_PIXELS + _LAZY_PIXELS_PER_EVENT * len(pixels) < v.size
         )
 
         # Leak before integrating: the input arriving in this step is taken

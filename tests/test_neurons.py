@@ -8,8 +8,8 @@ from evtbr.events import SensorGeometry
 from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant, StepInput
 
 G = SensorGeometry(4, 4)
-# With v_rest = 0 and beta = 2**-m, a fresh 320x240 grid leaks lazily on
-# every step of fewer than 88 events; grids of 65 536 pixels or fewer never do.
+# With v_rest = 0 and beta = 2**-m, a 320x240 grid leaks lazily on every
+# step of fewer than 88 events; grids of 65 536 pixels or fewer never do.
 LAZY_GEOMETRY = SensorGeometry(320, 240)
 
 
@@ -293,20 +293,39 @@ class TestLazyLeak:
         grid.decay_only(3)
         assert lazy_steps(grid) == 0
 
-    def test_sparse_steps_stay_lazy_until_v_is_read(self):
+    def test_a_burst_syncs_once_and_later_small_steps_go_lazy(self, monkeypatch):
         cfg = NeuronConfig(beta=0.5)
-        grid = NeuronGrid(LAZY_GEOMETRY, cfg)
+        grid, dense = NeuronGrid(LAZY_GEOMETRY, cfg), NeuronGrid(LAZY_GEOMETRY, cfg)
         rng = np.random.default_rng(1)
+        full_syncs = []
+        decayed = NeuronGrid._decayed
 
-        def burst(n):
-            return StepInput(np.ones(n), n, rng.integers(0, LAZY_GEOMETRY.pixel_count, n))
+        def counting_decayed(self, v, gaps):
+            if v.size == LAZY_GEOMETRY.pixel_count:
+                full_syncs.append(gaps)
+            return decayed(self, v, gaps)
 
-        grid.step(burst(10))
-        grid.step(burst(500))  # dense on a synced grid; lazy once a step went lazy
-        assert lazy_steps(grid) == 2
-        assert grid.v.shape == LAZY_GEOMETRY.shape  # the read syncs every membrane
-        grid.step(burst(500))
-        assert lazy_steps(grid) == 2
+        monkeypatch.setattr(NeuronGrid, "_decayed", counting_decayed)
+
+        def step_both(n):
+            pixels = rng.integers(0, LAZY_GEOMETRY.pixel_count, n)
+            grid.step(StepInput(np.ones(n), n, pixels))
+            sums = np.bincount(pixels, None, LAZY_GEOMETRY.pixel_count)
+            dense.step(StepInput(sums.reshape(LAZY_GEOMETRY.shape), n))
+
+        step_both(10)
+        step_both(10)
+        assert lazy_steps(grid) == 2 and not full_syncs
+        # 500 events is sparse but over the lazy rule at 320x240: the first
+        # such step syncs every membrane, the next has nothing to sync.
+        step_both(500)
+        step_both(500)
+        assert lazy_steps(grid) == 2 and len(full_syncs) == 1
+        step_both(10)
+        step_both(10)
+        assert lazy_steps(grid) == 4 and len(full_syncs) == 1
+        assert same_bits(grid.v + 0.0, dense.v + 0.0)
+        assert len(full_syncs) == 2
 
     @pytest.mark.parametrize("beta", [0.5, 0.25])
     def test_idle_chains_into_subnormals_match_the_dense_chain(self, beta):
