@@ -4,9 +4,27 @@ The synthetic model adds, per pixel and per slice of length ``slice_duration``,
 at most one spurious event with probability ``probability``; its timestamp is
 uniform within the slice. Injection is deterministic for a fixed seed: each
 slice draws from its own generator keyed by (seed, domain tag, slice index),
-and within a slice the draw order is fixed (one uniform per pixel in row-major
-order, then timestamps for the firing pixels, then polarities). A slice where
-no pixel fires draws nothing after its uniforms.
+and within a slice the draw order is fixed:
+
+1. one uniform per pixel in row-major order (``random``); a pixel fires
+   when its uniform is below ``probability``;
+2. one timestamp per firing pixel, by numpy's 32-bit Lemire method: a
+   uint32 draw u gives m = u * width, and start + (m >> 32) unless
+   m mod 2^32 < (2^32 - width) % width, which rejects u and draws again;
+   a slice of width 1 draws no timestamps;
+3. one polarity per firing pixel, from bit 7 of a byte; the bytes start
+   after the timestamps' last uint32.
+
+uint32 draws take the low, then the high half of each 64-bit word, and
+bytes come low first from each uint32. These are exactly the words the
+``integers(start, stop, dtype=int64)`` and ``integers(0, 2, dtype=int8)``
+calls of ``default_rng`` would draw, and the golden hashes pin them. A
+slice where no pixel fires draws nothing after its uniforms. Each firing
+slice takes its words with one ``random_raw`` call, and ``_noise_draws``
+decodes the timestamps and polarities of many slices together. A slice
+whose Lemire rejections use up its spare words, or whose width is over
+2^32 (where numpy draws 64-bit words), is drawn again through those
+``integers`` calls.
 
 Slice s's generator is the one ``np.random.default_rng([seed, tag, s])``
 builds, but its state is derived without building it: ``SeedSequence``
@@ -190,35 +208,16 @@ def inject_noise(
         raise ValueError(f"span must be non-empty, got [{t0}, {t1})")
     if cfg.probability == 0.0:
         return stream
+    # Imported here, so that importing the package, as every evtbr command
+    # does, does not compile the decoder where bytecode is not cached.
+    from ._noise_draws import draw_noise
 
-    dt = cfg.slice_duration
-    n_slices = (t1 - t0 + dt - 1) // dt
-    geometry = stream.geometry
-    random_polarity = cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM
-    pixels, times, polarities = [], [], []
-    for s, rng in _keyed_generators(cfg.rng_seed, NOISE_DOMAIN_TAG, range(n_slices)):
-        fired = (rng.random(geometry.pixel_count) < cfg.probability).nonzero()[0]
-        if fired.size == 0:
-            continue
-        start = t0 + s * dt
-        pixels.append(fired)
-        times.append(rng.integers(start, min(start + dt, t1), size=fired.size, dtype=np.int64))
-        if random_polarity:
-            polarities.append(rng.integers(0, 2, size=fired.size, dtype=np.int8))
-
-    if not pixels:
+    noise = draw_noise(stream.geometry, cfg, t0, t1)
+    if noise is None:
         return stream
-    fired = np.concatenate(pixels)
-    if random_polarity:
-        pol = np.concatenate(polarities) * 2 - 1
-    else:
-        pol = np.ones(fired.size, dtype=np.int8)
-    noise = EventStream(
-        geometry, np.concatenate(times), fired % geometry.width, fired // geometry.width, pol
-    )
     # Slices are disjoint in time and each is in pixel order, so one stable
     # sort orders the noise by (t, pixel) and puts signal first on ties.
-    return merge_sorted_by_time(geometry, stream, noise)
+    return merge_sorted_by_time(stream.geometry, stream, noise)
 
 
 def merge_noise_recording(

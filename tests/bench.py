@@ -2,7 +2,8 @@
 
 The default workload is the spiking encoder on a dense random 128x128
 stream, the configuration the floor is defined against. End-to-end
-benchmarks of the CLI are in ``perfbench/run.py``.
+benchmarks of the CLI are in ``perfbench/run.py``. Only the tests use
+this module; it is not part of the package.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderMode, encode_stream
-from .events import EventStream, SensorGeometry, SlicingConfig
-from .neurons import NeuronConfig, NeuronVariant
+from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
+from evtbr.events import EventStream, SensorGeometry, SlicingConfig
+from evtbr.neurons import NeuronConfig, NeuronVariant
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from evtbr.bench import random_stream  # noqa: F401  (re-exported for tests)
+from bench import random_stream  # noqa: F401  (re-exported for tests)
 from evtbr.events import BinarySliceStack, SensorGeometry
 
 

@@ -1,7 +1,16 @@
-"""Pure-Python per-event reference encoder, the oracle for the fast path."""
+"""Pure-Python references, the oracles for the fast paths.
+
+``reference_encode`` encodes one event at a time; ``reference_inject_noise``
+draws each noise slice from its own ``default_rng`` with numpy's own
+``random`` and ``integers`` calls.
+"""
+
+import numpy as np
 
 from evtbr.encoder import EncoderMode
+from evtbr.events import EventStream
 from evtbr.neurons import NeuronVariant
+from evtbr.noise import NOISE_DOMAIN_TAG, PolarityRule
 
 
 def reference_encode(rows, geometry, cfg, n_windows):
@@ -42,3 +51,31 @@ def reference_encode(rows, geometry, cfg, n_windows):
             if fired:
                 codes[window][y][x] |= 1 << bit
     return codes
+
+
+def reference_inject_noise(stream, cfg, span):
+    """inject_noise over span (t0, t1), one slice generator and one event at a time.
+
+    Slice s draws from ``default_rng([seed, NOISE_DOMAIN_TAG, s])``: one
+    uniform per pixel, then ``integers`` timestamps for the firing pixels,
+    then ``integers`` polarities. Events are ordered by t, signal before
+    noise on ties and noise by pixel within its slice.
+    """
+    t0, t1 = span
+    dt = cfg.slice_duration
+    width = stream.geometry.width
+    rows = [(t, 0, i, (t, x, y, p)) for i, (t, x, y, p) in enumerate(stream)]
+    for s in range((t1 - t0 + dt - 1) // dt):
+        rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, s])
+        fired = np.flatnonzero(rng.random(stream.geometry.pixel_count) < cfg.probability)
+        if fired.size == 0:
+            continue
+        start = t0 + s * dt
+        times = rng.integers(start, min(start + dt, t1), size=fired.size, dtype=np.int64)
+        if cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM:
+            signs = rng.integers(0, 2, size=fired.size, dtype=np.int8) * 2 - 1
+        else:
+            signs = np.ones(fired.size, dtype=np.int8)
+        for pixel, t, p in zip(fired.tolist(), times.tolist(), signs.tolist()):
+            rows.append((t, 1, pixel, (t, pixel % width, pixel // width, p)))
+    return EventStream.from_events(stream.geometry, [row[-1] for row in sorted(rows)])

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from evtbr.bench import measure_encode_throughput, random_stream
 from evtbr.encoder import (
     EncoderConfig,
     EncoderMode,
@@ -27,6 +26,7 @@ from evtbr.neurons import NeuronConfig, NeuronGrid, NeuronVariant, StepInput
 from evtbr.noise import NoiseConfig, noise_only_stream
 from evtbr.synth import SceneKind, SynthScene
 
+from bench import measure_encode_throughput, random_stream
 from helpers import random_stack
 
 SLICING = SlicingConfig(slice_duration=2_500, bits_per_frame=8)

@@ -1,7 +1,8 @@
 import numpy as np
 
-from evtbr.bench import BenchResult, measure_encode_throughput, random_stream
 from evtbr.events import SensorGeometry
+
+from bench import BenchResult, measure_encode_throughput, random_stream
 
 
 class TestBenchResult:

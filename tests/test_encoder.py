@@ -419,9 +419,12 @@ def reference_cases(draw):
 
     Events land in a corner of at most 3x2 pixels. In wide cases that corner
     lies on a 320x240 grid with v_rest = 0, where spike steps leak lazily
-    when beta = 2**-m.
+    when beta = 2**-m. A quarter of the cases are pairs of unit events 2-4
+    micro steps apart on one pixel at beta 0.5 and v_th 1.1: the second
+    event fires at a gap of 3 only if the leak over the gap is exact.
     """
     wide = draw(st.booleans())
+    pairs = draw(st.integers(0, 3)) == 0
     k = draw(st.sampled_from([1, 2, 4]))
     slicing = SlicingConfig(4 * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
     micro_dt = slicing.slice_duration // k
@@ -432,16 +435,25 @@ def reference_cases(draw):
         st.integers(0, n_steps * micro_dt),
         st.integers(0, n_steps).map(lambda m: m * micro_dt),
     )
-    event = st.tuples(
-        t,
-        st.integers(0, corner[0] - 1),
-        st.integers(0, corner[1] - 1),
-        st.sampled_from([1, -1]),
-    )
-    rows = sorted(draw(st.lists(event, max_size=40)), key=lambda row: row[0])
+    x, y = st.integers(0, corner[0] - 1), st.integers(0, corner[1] - 1)
+    polarity = st.sampled_from([1, -1])
+    if pairs:
+        rows = []
+        for _ in range(draw(st.integers(1, 3))):
+            m = draw(st.integers(0, n_steps - 2))
+            gap = draw(st.integers(2, min(4, n_steps - m)))
+            pixel = (draw(x), draw(y), draw(polarity))
+            rows += [(m * micro_dt, *pixel), ((m + gap) * micro_dt, *pixel)]
+    else:
+        rows = draw(st.lists(st.tuples(t, x, y, polarity), max_size=40))
+    rows.sort(key=lambda row: row[0])
 
-    variant = draw(st.sampled_from([None, *NeuronVariant]))
-    if variant is None:
+    leaky = [NeuronVariant.LIF, NeuronVariant.LR_LIF, NeuronVariant.REC_LIF]
+    variant = draw(st.sampled_from(leaky if pairs else [None, *NeuronVariant]))
+    if pairs:
+        neuron = NeuronConfig(variant=variant, beta=0.5, v_th=1.1)
+        cfg = EncoderConfig(slicing, EncoderMode.SPIKE_TBR, neuron, micro_steps_per_slice=k)
+    elif variant is None:
         cfg = EncoderConfig(slicing=slicing, micro_steps_per_slice=k)
     else:
         if variant is NeuronVariant.PLIF:

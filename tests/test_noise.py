@@ -2,7 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evtbr import _noise_draws
 from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig
 from evtbr.neurons import NeuronConfig
@@ -20,6 +23,7 @@ from evtbr.noise import (
 from evtbr.synth import SYNTH_DOMAIN_TAG, SceneKind, SynthScene, generate
 
 from helpers import random_stream
+from reference import reference_inject_noise
 
 G = SensorGeometry(4, 4)
 
@@ -163,6 +167,79 @@ class TestInjectNoise:
         assert len(noisy) == 2
         assert noisy.t.tolist() == [0, 0]
         assert noisy.p[0] == -1
+
+
+@st.composite
+def injection_cases(draw):
+    """A small signal stream, a noise config and a span of whole or cut slices.
+
+    Widths 2^31 + 1 reject about half of all 32-bit timestamp draws, 2^32
+    is the widest that numpy draws from 32 bits, and 2^32 + 5 draws from
+    64 bits. A cut span may end 1 us into its last slice.
+    """
+    geometry = SensorGeometry(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    dt = draw(st.sampled_from([1, 2, 3, 2_500, 2**31 + 1, 2**32, 2**32 + 5]))
+    n_slices = draw(st.integers(1, 6))
+    t0 = dt * draw(st.integers(0, 2)) + draw(st.sampled_from([0, 1]))
+    cut = draw(st.sampled_from([0, dt - 1, draw(st.integers(0, dt - 1))]))
+    t1 = t0 + n_slices * dt - cut
+    event = st.tuples(
+        st.integers(t0, t1 - 1),
+        st.integers(0, geometry.width - 1),
+        st.integers(0, geometry.height - 1),
+        st.sampled_from([1, -1]),
+    )
+    rows = sorted(draw(st.lists(event, max_size=8)), key=lambda row: row[0])
+    noise_cfg = cfg(
+        draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0])),
+        dt=dt,
+        seed=draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64))),
+        rule=draw(st.sampled_from(list(PolarityRule))),
+    )
+    return EventStream.from_events(geometry, rows), noise_cfg, (t0, t1)
+
+
+def assert_matches_oracle(stream, noise_cfg, span):
+    got, expected = inject_noise(stream, noise_cfg, span), reference_inject_noise(stream, noise_cfg, span)
+    for name in "txyp":
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+
+
+class TestInjectionOracle:
+    """inject_noise equals each slice's own generator drawn with ``integers``."""
+
+    @settings(max_examples=300)
+    @given(injection_cases())
+    def test_matches_per_slice_integers_draws(self, case):
+        assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("dt", [3, 2_500, 2**31 + 1])
+    @pytest.mark.parametrize("rule", list(PolarityRule))
+    def test_slices_without_spare_draws_are_drawn_again(self, monkeypatch, dt, rule):
+        # With no spare words, a rejected timestamp draw can leave its slice
+        # short, and the exact fallback draws it again from the slice's key.
+        redraws = []
+        redraw = _noise_draws.SliceDraws._redraw
+        monkeypatch.setattr(_noise_draws, "_spare_draws", lambda n, reject: 0)
+        monkeypatch.setattr(
+            _noise_draws.SliceDraws, "_redraw", lambda draws, s, *args: redraws.append(s) or redraw(draws, s, *args)
+        )
+        stream = random_stream(SensorGeometry(8, 8), n_events=20, duration=6 * dt, seed=1)
+        noise_cfg = cfg(0.5, dt=dt, seed=11, rule=rule)
+        span = (0, 6 * dt - 1)
+        assert_matches_oracle(stream, noise_cfg, span)
+        if dt == 2**31 + 1:
+            assert redraws
+
+    def test_many_decode_blocks(self):
+        # At 64x64 and p = 0.5 each slice draws about 1 300 words, so the
+        # slices are decoded over several blocks.
+        noise_cfg = cfg(0.5, seed=2)
+        span = (0, 12 * 2_500)
+        stream = EventStream.empty(SensorGeometry(64, 64))
+        assert_matches_oracle(stream, noise_cfg, span)
 
 
 class TestPolarityRuleAndFrames:
