@@ -20,11 +20,12 @@ bytes come low first from each uint32. These are exactly the words the
 ``integers(start, stop, dtype=int64)`` and ``integers(0, 2, dtype=int8)``
 calls of ``default_rng`` would draw, and the golden hashes pin them. A
 slice where no pixel fires draws nothing after its uniforms. Each firing
-slice takes its words with one ``random_raw`` call, and ``_noise_draws``
-decodes the timestamps and polarities of many slices together. A slice
-whose Lemire rejections use up its spare words, or whose width is over
-2^32 (where numpy draws 64-bit words), is drawn again through those
-``integers`` calls.
+slice takes the words for k accepted timestamps and k polarities with one
+``random_raw`` call, and blocks of slices are decoded together after the
+draw loop. A slice where Lemire rejects one of those k timestamp draws
+(each is rejected with a chance below width / 2^32, 5.3e-7 at the default
+2500 us width), or whose width is over 2^32 (where numpy draws 64-bit
+words), is drawn again through those ``integers`` calls.
 
 Slice s's generator is the one ``np.random.default_rng([seed, tag, s])``
 builds, but its state is derived without building it: ``SeedSequence``
@@ -93,6 +94,10 @@ _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 # Slices whose seed words are hashed together; bounds the scratch memory.
 _KEY_BLOCK = 4096
+# numpy draws slice timestamps from uint32 words up to this width.
+_U32_SPAN = 1 << 32
+# Raw words decoded together; bounds the decode's scratch memory.
+_DECODE_WORDS = 1 << 13
 
 
 def _seed_words(seed: int, tag: int, slices: np.ndarray) -> np.ndarray:
@@ -208,16 +213,101 @@ def inject_noise(
         raise ValueError(f"span must be non-empty, got [{t0}, {t1})")
     if cfg.probability == 0.0:
         return stream
-    # Imported here, so that importing the package, as every evtbr command
-    # does, does not compile the decoder where bytecode is not cached.
-    from ._noise_draws import draw_noise
-
-    noise = draw_noise(stream.geometry, cfg, t0, t1)
+    noise = _draw_noise(stream.geometry, cfg, t0, t1)
     if noise is None:
         return stream
     # Slices are disjoint in time and each is in pixel order, so one stable
     # sort orders the noise by (t, pixel) and puts signal first on ties.
     return merge_sorted_by_time(stream.geometry, stream, noise)
+
+
+def _draw_noise(geometry: SensorGeometry, cfg: NoiseConfig, t0: int, t1: int) -> EventStream | None:
+    """The noise events of span [t0, t1) in slice order, or None if no pixel fires.
+
+    The loop keeps each firing slice's pixels and raw words (see the module
+    docstring); blocks of slices are then decoded into the final columns.
+    """
+    dt = cfg.slice_duration
+    n_slices = (t1 - t0 + dt - 1) // dt
+    widths = (dt, t1 - t0 - (n_slices - 1) * dt)  # full slice, last slice
+    random_polarity = cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM
+    pixels, slices, words = [], [], []
+    for s, rng in _keyed_generators(cfg.rng_seed, NOISE_DOMAIN_TAG, range(n_slices)):
+        fired = (rng.random(geometry.pixel_count) < cfg.probability).nonzero()[0]
+        if fired.size:
+            k = fired.size
+            uint32s = k * (widths[s == n_slices - 1] > 1) + (-(-k // 4) if random_polarity else 0)
+            pixels.append(fired)
+            slices.append(s)
+            words.append(rng.bit_generator.random_raw(-(-uint32s // 2)))
+    if not pixels:
+        return None
+
+    counts = np.array([f.size for f in pixels], dtype=np.int64)
+    pixel = np.concatenate(pixels, dtype=np.int32)
+    del pixels  # frees the per-slice arrays before the decode
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    starts = t0 + np.array(slices, dtype=np.int64) * dt
+    t = np.empty(pixel.size, dtype=np.int64)
+    bits = np.empty(pixel.size, dtype=np.uint8) if random_polarity else None
+    # Blocks of about _DECODE_WORDS words; the last slice, whose width may
+    # differ, is a block of its own.
+    block = np.cumsum([w.size for w in words]) // _DECODE_WORDS
+    edges = {0, len(slices), len(slices) - (slices[-1] == n_slices - 1)}
+    edges.update((np.flatnonzero(np.diff(block)) + 1).tolist())
+    edges = sorted(edges)
+    redo = []
+    for a, b in zip(edges, edges[1:]):
+        events = slice(firsts[a], ends[b - 1])
+        out_bits = None if bits is None else bits[events]
+        width = widths[slices[a] == n_slices - 1]
+        redo.extend((a + _decode(words[a:b], counts[a:b], starts[a:b], width, t[events], out_bits)).tolist())
+    for i in redo:
+        events, stop = slice(firsts[i], ends[i]), starts[i] + widths[slices[i] == n_slices - 1]
+        rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, slices[i]])
+        rng.random(geometry.pixel_count)
+        t[events] = rng.integers(starts[i], stop, size=counts[i], dtype=np.int64)
+        if bits is not None:
+            bits[events] = rng.integers(0, 2, size=counts[i], dtype=np.int8)
+    if bits is None:
+        pol = np.ones(pixel.size, dtype=np.int8)
+    else:
+        pol = bits.view(np.int8)
+        pol *= 2
+        pol -= 1
+    return EventStream(geometry, t, pixel % geometry.width, pixel // geometry.width, pol)
+
+
+def _decode(words, counts, starts, width, t, bits) -> np.ndarray:
+    """Write consecutive firing slices' timestamps and polarity bits (0 or 1).
+
+    ``words``, ``counts`` and ``starts`` are per slice; ``t`` and ``bits``
+    (None for fixed polarities) hold the slices' events. Returns the
+    indices of the slices to draw again: those where Lemire rejected a
+    timestamp draw, or all of them past a width of 2^32.
+    """
+    if width > _U32_SPAN:
+        return np.arange(len(counts))
+    ends = np.cumsum(counts)
+    rank = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # index in its slice
+    sizes = 2 * np.array([w.size for w in words], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # each slice's first uint32
+    u32 = np.concatenate(words).astype("<u8", copy=False).view("<u4")
+    t[:] = np.repeat(starts, counts)
+    redo = np.zeros(0, dtype=np.int64)
+    if width > 1:
+        m = u32[np.repeat(first, counts) + rank].astype(np.uint64)
+        m *= np.uint64(width)
+        rejected = np.flatnonzero(m.astype(np.uint32) < (_U32_SPAN - width) % width)
+        redo = np.unique(ends.searchsorted(rejected, side="right"))
+        m >>= np.uint64(32)
+        t += m.view(np.int64)
+        first += counts
+    if bits is not None:
+        # Bit 7 of a byte is integers(0, 2, dtype=int8)'s draw from it.
+        np.right_shift(u32.view(np.uint8)[np.repeat(4 * first, counts) + rank], 7, out=bits)
+    return redo
 
 
 def merge_noise_recording(

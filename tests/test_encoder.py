@@ -480,7 +480,8 @@ def reference_cases(draw):
 
 
 class TestReferenceEncoder:
-    @settings(max_examples=600)
+    # A quarter of the cases are pairs; 800 keeps about 600 general ones.
+    @settings(max_examples=800)
     @given(reference_cases())
     def test_encode_stream_matches_per_event_reference(self, case):
         stream, cfg, n_windows = case

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtbr import _noise_draws
+from evtbr import noise
 from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig
 from evtbr.neurons import NeuronConfig
@@ -215,23 +215,23 @@ class TestInjectionOracle:
     def test_matches_per_slice_integers_draws(self, case):
         assert_matches_oracle(*case)
 
-    @pytest.mark.parametrize("dt", [3, 2_500, 2**31 + 1])
     @pytest.mark.parametrize("rule", list(PolarityRule))
-    def test_slices_without_spare_draws_are_drawn_again(self, monkeypatch, dt, rule):
-        # With no spare words, a rejected timestamp draw can leave its slice
-        # short, and the exact fallback draws it again from the slice's key.
-        redraws = []
-        redraw = _noise_draws.SliceDraws._redraw
-        monkeypatch.setattr(_noise_draws, "_spare_draws", lambda n, reject: 0)
-        monkeypatch.setattr(
-            _noise_draws.SliceDraws, "_redraw", lambda draws, s, *args: redraws.append(s) or redraw(draws, s, *args)
-        )
+    def test_slices_with_a_rejected_draw_are_drawn_again(self, monkeypatch, rule):
+        # At dt 2^31 + 1 about half of all timestamp draws are rejected, so
+        # most firing slices take the exact fallback through their own key.
+        redone = []
+        decode = noise._decode
+
+        def recording_decode(*args):
+            slices = decode(*args)
+            redone.extend(slices.tolist())
+            return slices
+
+        monkeypatch.setattr(noise, "_decode", recording_decode)
+        dt = 2**31 + 1
         stream = random_stream(SensorGeometry(8, 8), n_events=20, duration=6 * dt, seed=1)
-        noise_cfg = cfg(0.5, dt=dt, seed=11, rule=rule)
-        span = (0, 6 * dt - 1)
-        assert_matches_oracle(stream, noise_cfg, span)
-        if dt == 2**31 + 1:
-            assert redraws
+        assert_matches_oracle(stream, cfg(0.5, dt=dt, seed=11, rule=rule), (0, 6 * dt - 1))
+        assert redone
 
     def test_many_decode_blocks(self):
         # At 64x64 and p = 0.5 each slice draws about 1 300 words, so the
