@@ -22,9 +22,7 @@ import numpy as np
 from .encoder import EncoderConfig, EncoderMode, decode_tbr, encode_stream
 from .events import MAX_PIXELS, EventStream, SensorGeometry, SlicingConfig
 from .io import (
-    EventFileError,
     EventFileFormat,
-    FrameFormatError,
     read_events,
     read_frame,
     stream_info,
@@ -233,8 +231,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    a_files = sorted(Path(args.a).glob("*.pgm"))
-    b_files = sorted(Path(args.b).glob("*.pgm"))
+    # Frame numbers grow past five digits, so shorter names come first.
+    a_files, b_files = (
+        sorted(Path(d).glob("*.pgm"), key=lambda f: (len(f.name), f.name)) for d in (args.a, args.b)
+    )
     if len(a_files) != len(b_files):
         raise ValueError(f"frame-count mismatch: {len(a_files)} vs {len(b_files)}")
     if not a_files:
@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except (EventFileError, FrameFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # EventFileError and FrameFormatError too
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -265,6 +265,18 @@ class TestCompare:
         assert run(["compare", "--a", str(full), "--b", str(partial)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_rows_follow_frame_numbers_past_five_digits(self, tmp_path, capsys):
+        # 100000.pgm sorts between 10000.pgm and 10001.pgm as a string.
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        for name, code in [("00000", 1), ("99999", 3), ("100000", 7)]:
+            (a / f"{name}.pgm").write_bytes(b"P5\n1 1\n255\n" + bytes([code]))
+            (b / f"{name}.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
+        assert run(["compare", "--a", str(a), "--b", str(b)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:4]]
+        assert [(row[0], row[2]) for row in rows] == [("0", "1"), ("1", "2"), ("2", "3")]
+
 
 class TestNoise:
     def test_zero_probability_output_equals_input(self, tmp_path, capsys):
@@ -397,6 +409,24 @@ class TestImports:
         assert proc.stdout.splitlines()[-1] == "False"
         frame = read_frame(next((tmp_path / "frames").glob("*.pgm")))
         assert np.count_nonzero(frame.codes) == 10
+
+    def test_noise_and_curve_leave_numpy_ma_unimported(self, tmp_path):
+        # Noise injection marks the slices to draw again without np.unique.
+        src = synth_file(tmp_path)
+        noise = ["noise", "--in", str(src), "--p", "0.1", "--out", str(tmp_path / "noisy.bin")]
+        curve = ["curve", "--size", "32x32", "--duration-ms", "40", "--p-list", "0.1",
+                 "--seeds", "2", "--out", str(tmp_path / "curve.csv")]
+        script = (
+            "import sys; from evtbr.cli import main; "
+            f"assert main({noise!r}) == 0; assert main({curve!r}) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert len(read_events(tmp_path / "noisy.bin", EventFileFormat.BINARY_V1)) > len(
+            read_events(src, EventFileFormat.BINARY_V1)
+        )
 
 
 class TestGeometryLimit:

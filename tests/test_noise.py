@@ -233,9 +233,17 @@ class TestInjectionOracle:
         assert_matches_oracle(stream, cfg(0.5, dt=dt, seed=11, rule=rule), (0, 6 * dt - 1))
         assert redone
 
-    def test_many_decode_blocks(self):
-        # At 64x64 and p = 0.5 each slice draws about 1 300 words, so the
-        # slices are decoded over several blocks.
+    @pytest.mark.parametrize("rule", list(PolarityRule))
+    @pytest.mark.parametrize("dt", [3, 2_500])
+    def test_last_slice_cut_to_one_us(self, dt, rule):
+        # Every pixel fires; the last slice is decoded at the full width,
+        # then drawn again inside its 1 us.
+        stream = random_stream(SensorGeometry(5, 4), n_events=10, duration=3 * dt, seed=3)
+        assert_matches_oracle(stream, cfg(1.0, dt=dt, seed=5, rule=rule), (0, 3 * dt + 1))
+
+    def test_many_slices_decoded_in_one_pass(self):
+        # At 64x64 and p = 0.5 each slice draws about 1 300 words, so one
+        # pass decodes twelve slices from about 15 000 joined words.
         noise_cfg = cfg(0.5, seed=2)
         span = (0, 12 * 2_500)
         stream = EventStream.empty(SensorGeometry(64, 64))
