@@ -19,7 +19,8 @@ import numpy as np
 from .encoder import EncodedFrame, EncoderConfig, EncoderMode, encode_stream
 from .events import EventStream
 from .neurons import NeuronGrid
-from .noise import NoiseConfig, inject_noise
+# inject_noise is not called here; perfbench/spans.py wraps it by this name.
+from .noise import NoiseConfig, inject_noise, inject_noise_levels
 from .synth import SynthScene, generate
 
 CURVE_CSV_HEADER = "p,encoder,l1_mean,l1_std,hamming_mean,changed_pixels_mean"
@@ -104,8 +105,11 @@ def robustness_curve(
 
     The same seed set is reused at every noise level (common random numbers:
     level-to-level differences are not masked by seed-to-seed variance).
-    Noisy and clean streams are encoded over the same window count, derived
-    from the scene duration, so frames pair up one-to-one.
+    The loop is seed-major: each seed draws its noise slices once for all
+    levels (:func:`inject_noise_levels`), and its noisy streams are encoded
+    one level at a time. Noisy and clean streams are encoded over the same
+    window count, derived from the scene duration, so frames pair up
+    one-to-one.
     """
     for p in noise_levels:
         if not 0.0 <= p <= 1.0:
@@ -119,35 +123,22 @@ def robustness_curve(
     clean = generate(scene)
     reference = encode_stream(clean, cfg, n_windows=n_windows)
     span = (0, scene.duration)
-    label = cfg.label()
+    dt = cfg.slicing.slice_duration
 
-    points = []
-    for p in noise_levels:
-        trial_l1 = np.empty(n_seeds)
-        trial_ham = np.empty(n_seeds)
-        trial_chg = np.empty(n_seeds)
-        for i in range(n_seeds):
-            noise_cfg = NoiseConfig(
-                probability=p,
-                slice_duration=cfg.slicing.slice_duration,
-                rng_seed=base_seed + i,
-            )
-            noisy = inject_noise(clean, noise_cfg, span=span)
+    trial_l1, trial_ham, trial_chg = np.empty((3, len(noise_levels), n_seeds))
+    for i in range(n_seeds):
+        cfgs = [NoiseConfig(probability=p, slice_duration=dt, rng_seed=base_seed + i) for p in noise_levels]
+        for j, noisy in enumerate(inject_noise_levels(clean, cfgs, span=span)):
             frames = encode_stream(noisy, cfg, n_windows=n_windows)
             dists = [frame_distance(f, r) for f, r in zip(frames, reference)]
-            trial_l1[i] = np.mean([d.l1_mean for d in dists])
-            trial_ham[i] = np.mean([d.hamming_bits for d in dists])
-            trial_chg[i] = np.mean([d.changed_pixels for d in dists])
-        l1_std = float(np.std(trial_l1, ddof=1)) if n_seeds > 1 else 0.0
+            trial_l1[j, i] = np.mean([d.l1_mean for d in dists])
+            trial_ham[j, i] = np.mean([d.hamming_bits for d in dists])
+            trial_chg[j, i] = np.mean([d.changed_pixels for d in dists])
+    points = []
+    for p, l1, ham, chg in zip(noise_levels, trial_l1, trial_ham, trial_chg):
+        l1_std = float(np.std(l1, ddof=1)) if n_seeds > 1 else 0.0
         points.append(
-            RobustnessPoint(
-                p=p,
-                encoder=label,
-                l1_mean=float(trial_l1.mean()),
-                l1_std=l1_std,
-                hamming_mean=float(trial_ham.mean()),
-                changed_pixels_mean=float(trial_chg.mean()),
-            )
+            RobustnessPoint(p, cfg.label(), float(l1.mean()), l1_std, float(ham.mean()), float(chg.mean()))
         )
     return points
 

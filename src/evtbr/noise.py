@@ -21,12 +21,17 @@ bytes come low first from each uint32. These are exactly the words the
 calls of ``default_rng`` would draw, and the golden hashes pin them. A
 slice where no pixel fires draws nothing after its uniforms. Each firing
 slice takes the words for k accepted timestamps and k polarities with one
-``random_raw`` call, and one pass after the draw loop decodes every firing
-slice at the full slice width. A slice where Lemire rejects one of those k
-timestamp draws (each is rejected with a chance below width / 2^32, 5.3e-7
-at the default 2500 us width), a slice whose width is over 2^32 (where
-numpy draws 64-bit words), and a last slice that the span cuts short are
-drawn again through those ``integers`` calls.
+``random_raw`` call, and after the draw loop one pass per level decodes its
+firing slices at the full slice width. A slice where Lemire rejects one of
+those k timestamp draws (each is rejected with a chance below width / 2^32,
+5.3e-7 at the default 2500 us width), a slice whose width is over 2^32
+(where numpy draws 64-bit words), and a last slice that the span cuts short
+are drawn again through those ``integers`` calls.
+
+Several probabilities of one seed share one draw per (seed, slice), made at
+the highest of them. A lower level fires the pixels whose uniforms are below
+it, and its k' <= k timestamps and polarities read a prefix of those words:
+exactly the words its own draw would take.
 
 Slice s's generator is the one ``np.random.default_rng([seed, tag, s])``
 builds, but its state is derived without building it: ``SeedSequence``
@@ -41,7 +46,7 @@ index of 2^32 or more is not one uint32 word, so such keys are built with
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -203,6 +208,23 @@ def inject_noise(
     inferred from the stream via :func:`default_span`. Events that tie in t
     keep signal before noise.
     """
+    return next(inject_noise_levels(stream, [cfg], span))
+
+
+def inject_noise_levels(
+    stream: EventStream, cfgs: Sequence[NoiseConfig], span: tuple[int, int] | None = None
+) -> Iterator[EventStream]:
+    """Yield :func:`inject_noise` of the stream for each config, in order.
+
+    The configs may differ only in probability: each slice is drawn once for
+    all of them, and each noisy stream is merged when it is asked for.
+    """
+    if not cfgs:
+        return
+    cfg = cfgs[0]
+    for field in ("slice_duration", "rng_seed", "polarity_rule"):
+        if any(getattr(other, field) != getattr(cfg, field) for other in cfgs):
+            raise ValueError(f"noise configs of one draw must share {field}")
     if span is None:
         span = default_span(stream, cfg.slice_duration)
     t0, t1 = int(span[0]), int(span[1])
@@ -210,77 +232,91 @@ def inject_noise(
         raise ValueError(f"span start must be non-negative, got {t0}")
     if t0 >= t1:
         raise ValueError(f"span must be non-empty, got [{t0}, {t1})")
-    if cfg.probability == 0.0:
-        return stream
-    noise = _draw_noise(stream.geometry, cfg, t0, t1)
-    if noise is None:
-        return stream
-    # Slices are disjoint in time and each is in pixel order, so one stable
-    # sort orders the noise by (t, pixel) and puts signal first on ties.
-    return merge_sorted_by_time(stream.geometry, stream, noise)
+    for noise in _draw_noise(stream.geometry, cfg, [c.probability for c in cfgs], t0, t1):
+        # Slices are disjoint in time and each is in pixel order, so one stable
+        # sort orders the noise by (t, pixel) and puts signal first on ties.
+        yield stream if noise is None else merge_sorted_by_time(stream.geometry, stream, noise)
 
 
-def _draw_noise(geometry: SensorGeometry, cfg: NoiseConfig, t0: int, t1: int) -> EventStream | None:
-    """The noise events of span [t0, t1) in slice order, or None if no pixel fires.
+def _draw_noise(
+    geometry: SensorGeometry, cfg: NoiseConfig, levels: list[float], t0: int, t1: int
+) -> Iterator[EventStream | None]:
+    """Per level, the noise events of span [t0, t1) in slice order, or None if no pixel fires.
 
-    The loop keeps each firing slice's pixels and raw words (see the module
-    docstring); one pass then decodes them into the final columns.
+    The loop keeps each firing slice's pixels, uniforms and raw words at the
+    highest level (see the module docstring); one pass per level decodes them.
     """
     dt = cfg.slice_duration
-    n_slices = (t1 - t0 + dt - 1) // dt
+    p_max = max(levels)
+    n_slices = (t1 - t0 + dt - 1) // dt if p_max > 0.0 else 0
     random_polarity = cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM
-    pixels, slices, words = [], [], []
+    pixels, uniforms, slices, words = [], [], [], []
     for s, rng in _keyed_generators(cfg.rng_seed, NOISE_DOMAIN_TAG, range(n_slices)):
-        fired = (rng.random(geometry.pixel_count) < cfg.probability).nonzero()[0]
+        u = rng.random(geometry.pixel_count)
+        fired = (u < p_max).nonzero()[0]
         if fired.size:
             k = fired.size
             uint32s = k * (dt > 1) + (-(-k // 4) if random_polarity else 0)
             pixels.append(fired)
+            uniforms.append(u[fired])
             slices.append(s)
             words.append(rng.bit_generator.random_raw(-(-uint32s // 2)))
     if not pixels:
-        return None
+        yield from [None] * len(levels)
+        return
 
-    counts = np.array([f.size for f in pixels], dtype=np.int64)
+    offsets = np.cumsum([0] + [f.size for f in pixels[:-1]])  # each slice's first pixel
     pixel = np.concatenate(pixels, dtype=np.int32)
-    del pixels  # frees the per-slice arrays before the decode
-    ends = np.cumsum(counts)
-    starts = t0 + np.array(slices, dtype=np.int64) * dt
-    t = np.empty(pixel.size, dtype=np.int64)
-    bits = np.empty(pixel.size, dtype=np.uint8) if random_polarity else None
-    for i in _decode(words, counts, starts, dt, t1, t, bits).tolist():
-        events = slice(ends[i] - counts[i], ends[i])
-        rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, slices[i]])
-        rng.random(geometry.pixel_count)
-        t[events] = rng.integers(starts[i], min(starts[i] + dt, t1), size=counts[i], dtype=np.int64)
+    u = np.concatenate(uniforms)
+    sizes = 2 * np.array([w.size for w in words], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # each slice's first uint32
+    u32 = np.concatenate(words).astype("<u8", copy=False).view("<u4")
+    del pixels, uniforms, words  # frees the per-slice arrays before the decode
+    slices = np.array(slices, dtype=np.int64)
+    for level, p in enumerate(levels):
+        keep = u < p  # every kept uniform is below p_max, so this is the set u < p
+        counts = np.add.reduceat(keep, offsets, dtype=np.int64)
+        fired = pixel[keep]
+        firing = counts.nonzero()[0]
+        if not firing.size:
+            yield None
+            continue
+        counts, keys = counts[firing], slices[firing].tolist()
+        starts = t0 + slices[firing] * dt
+        ends = np.cumsum(counts)
+        t = np.empty(ends[-1], dtype=np.int64)
+        bits = np.empty(ends[-1], dtype=np.uint8) if random_polarity else None
+        for i in _decode(u32, first[firing], counts, starts, dt, t1, t, bits).tolist():
+            events = slice(ends[i] - counts[i], ends[i])
+            rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, keys[i]])
+            rng.random(geometry.pixel_count)
+            t[events] = rng.integers(starts[i], min(starts[i] + dt, t1), size=counts[i], dtype=np.int64)
+            if bits is not None:
+                bits[events] = rng.integers(0, 2, size=counts[i], dtype=np.int8)
+        pol = np.ones(t.size, dtype=np.int8) if bits is None else bits.view(np.int8)
         if bits is not None:
-            bits[events] = rng.integers(0, 2, size=counts[i], dtype=np.int8)
-    if bits is None:
-        pol = np.ones(pixel.size, dtype=np.int8)
-    else:
-        pol = bits.view(np.int8)
-        pol *= 2
-        pol -= 1
-    return EventStream(geometry, t, pixel % geometry.width, pixel // geometry.width, pol)
+            pol *= 2
+            pol -= 1
+        noise = EventStream(geometry, t, fired % geometry.width, fired // geometry.width, pol)
+        if level == len(levels) - 1:
+            del pixel, u, u32, keep, fired  # the caller's last merge needs none of them
+        yield noise
 
 
-def _decode(words, counts, starts, width, end, t, bits) -> np.ndarray:
+def _decode(u32, first, counts, starts, width, end, t, bits) -> np.ndarray:
     """Write the firing slices' timestamps and polarity bits (0 or 1).
 
-    ``words``, ``counts`` and ``starts`` are per slice, and every slice is
-    ``width`` wide; ``t`` and ``bits`` (None for fixed polarities) hold the
-    slices' events. Returns the indices of the slices to draw again: one
-    that the span's ``end`` cuts short, those where Lemire rejected a
-    timestamp draw, or all of them past a width of 2^32.
+    ``first`` (its first uint32 in ``u32``), ``counts`` and ``starts`` are
+    per slice, and every slice is ``width`` wide; ``t`` and ``bits`` (None
+    for fixed polarities) hold the slices' events. Returns the indices of
+    the slices to draw again: one that the span's ``end`` cuts short, those
+    where Lemire rejected a timestamp draw, or all of them past 2^32 wide.
     """
     if width > _U32_SPAN:
         return np.arange(len(counts))
     redo = starts + width > end
     ends = np.cumsum(counts)
     rank = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # index in its slice
-    sizes = 2 * np.array([w.size for w in words], dtype=np.int64)
-    first = np.cumsum(sizes) - sizes  # each slice's first uint32
-    u32 = np.concatenate(words).astype("<u8", copy=False).view("<u4")
     t[:] = np.repeat(starts, counts)
     if width > 1:
         m = u32[np.repeat(first, counts) + rank].astype(np.uint64)
@@ -289,7 +325,7 @@ def _decode(words, counts, starts, width, end, t, bits) -> np.ndarray:
         redo[ends.searchsorted(rejected, side="right")] = True
         m >>= np.uint64(32)
         t += m.view(np.int64)
-        first += counts
+        first = first + counts
     if bits is not None:
         # Bit 7 of a byte is integers(0, 2, dtype=int8)'s draw from it.
         np.right_shift(u32.view(np.uint8)[np.repeat(4 * first, counts) + rank], 7, out=bits)
@@ -353,6 +389,7 @@ __all__ = [
     "NOISE_DOMAIN_TAG",
     "default_span",
     "inject_noise",
+    "inject_noise_levels",
     "noise_only_stream",
     "merge_noise_recording",
 ]

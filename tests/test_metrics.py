@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evtbr import metrics
+from evtbr import metrics, noise
 from evtbr.encoder import EncodedFrame, EncoderConfig, EncoderMode, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig
 from evtbr.metrics import (
@@ -17,7 +17,8 @@ from evtbr.metrics import (
     write_curve_csv,
 )
 from evtbr.neurons import NeuronConfig
-from evtbr.synth import SceneKind, SynthScene
+from evtbr.noise import NoiseConfig, inject_noise
+from evtbr.synth import SceneKind, SynthScene, generate
 
 from helpers import random_stream
 
@@ -207,22 +208,43 @@ class TestRobustnessCurve:
         solo = robustness_curve(small_scene(), cfg, noise_levels=[0.03], n_seeds=2)
         assert multi[1] == solo[0]
 
-    def test_injects_once_per_level_and_seed(self, monkeypatch):
-        # The benchmark's noise counters wrap metrics.inject_noise by name,
-        # so every trial must go through it: levels x seeds calls.
-        calls = []
-        inject = metrics.inject_noise
+    def test_each_trial_encodes_its_own_injection(self, monkeypatch):
+        # Noise is drawn once per seed for every level, and each level's
+        # stream must still be that level's own inject_noise, seed-major.
+        encoded = []
+        encode = metrics.encode_stream
 
-        def counting_inject(stream, cfg, span=None):
-            calls.append((cfg.probability, cfg.rng_seed, span))
-            return inject(stream, cfg, span)
+        def capturing_encode(stream, cfg, **kwargs):
+            encoded.append(stream)
+            return encode(stream, cfg, **kwargs)
 
-        monkeypatch.setattr(metrics, "inject_noise", counting_inject)
-        scene = small_scene()
-        robustness_curve(scene, EncoderConfig(slicing=SLICING), noise_levels=[0.0, 0.01, 0.05],
+        monkeypatch.setattr(metrics, "encode_stream", capturing_encode)
+        scene, levels = small_scene(duration=41_000), [0.0, 0.05, 0.01, 0.05]
+        robustness_curve(scene, EncoderConfig(slicing=SLICING), noise_levels=levels,
                          n_seeds=3, base_seed=4)
-        span = (0, scene.duration)
-        assert calls == [(p, seed, span) for p in (0.0, 0.01, 0.05) for seed in (4, 5, 6)]
+        clean, span = generate(scene), (0, scene.duration)
+        expected = [clean] + [
+            inject_noise(clean, NoiseConfig(p, SLICING.slice_duration, seed), span)
+            for seed in (4, 5, 6)
+            for p in levels
+        ]
+        assert encoded == expected
+
+    def test_keys_noise_slices_once_per_seed(self, monkeypatch):
+        seeds = []
+        keyed_generators = noise._keyed_generators
+
+        def counting(seed, tag, slices):
+            seeds.append(seed)
+            return keyed_generators(seed, tag, slices)
+
+        monkeypatch.setattr(noise, "_keyed_generators", counting)
+        robustness_curve(small_scene(), EncoderConfig(slicing=SLICING), noise_levels=[0.0, 0.01, 0.05],
+                         n_seeds=3, base_seed=4)
+        assert seeds == [4, 5, 6]
+
+    def test_no_levels_give_no_points(self):
+        assert robustness_curve(small_scene(), EncoderConfig(slicing=SLICING), noise_levels=[]) == []
 
     def test_encoder_label_attached(self):
         pts = robustness_curve(small_scene(), spike_cfg(), noise_levels=[0.0],

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from evtbr.noise import (
     _keyed_generators,
     default_span,
     inject_noise,
+    inject_noise_levels,
     merge_noise_recording,
     noise_only_stream,
 )
@@ -199,12 +201,28 @@ def injection_cases(draw):
     return EventStream.from_events(geometry, rows), noise_cfg, (t0, t1)
 
 
-def assert_matches_oracle(stream, noise_cfg, span):
-    got, expected = inject_noise(stream, noise_cfg, span), reference_inject_noise(stream, noise_cfg, span)
+@st.composite
+def level_cases(draw):
+    """An injection case at 1-4 levels, in any order and with repeats.
+
+    A level may equal the first uniform that slice 0 draws, so a pixel's
+    uniform can tie with a level: it fires only below it.
+    """
+    stream, noise_cfg, span = draw(injection_cases())
+    tie = float(np.random.default_rng([noise_cfg.rng_seed, NOISE_DOMAIN_TAG, 0]).random(1)[0])
+    levels = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0, tie]), min_size=1, max_size=4))
+    return stream, [replace(noise_cfg, probability=p) for p in levels], span
+
+
+def assert_same_columns(got, expected):
     for name in "txyp":
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype, name
         assert a.tolist() == b.tolist(), name
+
+
+def assert_matches_oracle(stream, noise_cfg, span):
+    assert_same_columns(inject_noise(stream, noise_cfg, span), reference_inject_noise(stream, noise_cfg, span))
 
 
 class TestInjectionOracle:
@@ -241,6 +259,15 @@ class TestInjectionOracle:
         stream = random_stream(SensorGeometry(5, 4), n_events=10, duration=3 * dt, seed=3)
         assert_matches_oracle(stream, cfg(1.0, dt=dt, seed=5, rule=rule), (0, 3 * dt + 1))
 
+    @settings(max_examples=200)
+    @given(level_cases())
+    def test_every_level_of_one_draw_matches(self, case):
+        stream, cfgs, span = case
+        got = list(inject_noise_levels(stream, cfgs, span))
+        assert len(got) == len(cfgs)
+        for noisy, noise_cfg in zip(got, cfgs):
+            assert_same_columns(noisy, reference_inject_noise(stream, noise_cfg, span))
+
     def test_many_slices_decoded_in_one_pass(self):
         # At 64x64 and p = 0.5 each slice draws about 1 300 words, so one
         # pass decodes twelve slices from about 15 000 joined words.
@@ -248,6 +275,52 @@ class TestInjectionOracle:
         span = (0, 12 * 2_500)
         stream = EventStream.empty(SensorGeometry(64, 64))
         assert_matches_oracle(stream, noise_cfg, span)
+
+
+class TestInjectNoiseLevels:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("slice_duration", 1_000), ("rng_seed", 1), ("polarity_rule", PolarityRule.FIXED_POSITIVE)],
+    )
+    def test_configs_must_share_all_but_probability(self, field, value):
+        stream = random_stream(G, n_events=10, duration=10_000, seed=0)
+        with pytest.raises(ValueError, match=field):
+            list(inject_noise_levels(stream, [cfg(0.1), replace(cfg(0.2), **{field: value})]))
+
+    def test_no_configs_yield_nothing(self):
+        assert list(inject_noise_levels(EventStream.empty(G), [])) == []
+
+    def test_zero_levels_set_no_slice_state(self, monkeypatch):
+        keyed = []
+        keyed_generators = noise._keyed_generators
+
+        def counting(seed, tag, slices):
+            for item in keyed_generators(seed, tag, slices):
+                keyed.append(item[0])
+                yield item
+
+        monkeypatch.setattr(noise, "_keyed_generators", counting)
+        stream = random_stream(G, n_events=10, duration=10_000, seed=0)
+        noisy = list(inject_noise_levels(stream, [cfg(0.0), cfg(0.0)], span=(0, 10_000)))
+        assert keyed == []
+        assert [out is stream for out in noisy] == [True, True]
+        assert len(list(inject_noise_levels(stream, [cfg(0.0), cfg(0.5)], span=(0, 10_000)))) == 2
+        assert keyed == list(range(4))
+
+    def test_streams_are_merged_one_at_a_time(self, monkeypatch):
+        merges = []
+        merge = noise.merge_sorted_by_time
+
+        def counting_merge(*args):
+            merges.append(len(args[-1]))
+            return merge(*args)
+
+        monkeypatch.setattr(noise, "merge_sorted_by_time", counting_merge)
+        levels = inject_noise_levels(EventStream.empty(G), [cfg(0.5), cfg(1.0)], span=(0, 2_500))
+        assert len(next(levels)) > 0
+        assert len(merges) == 1
+        assert len(next(levels)) == G.pixel_count
+        assert merges[1] == G.pixel_count
 
 
 class TestPolarityRuleAndFrames:
