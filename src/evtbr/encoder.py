@@ -19,15 +19,17 @@ across the consecutive windows of one recording; it is cleared only by an
 explicit :meth:`NeuronGrid.reset`. Each slice may be subdivided into K
 micro steps (K = 1 by default) for finer integration granularity.
 
-Both modes share one window loop, :func:`encode_stream`, and one window
-body. The body locates the window's N*K step bounds with one search over
-the whole stream (K = 1 in plain mode), so a window costs O(log events)
-to find. Each step ORs its slice's bit in place into the window's row of
-codes, at the step's event pixels in plain mode and at the neurons that
-fired (:attr:`NeuronGrid.fired`, by flat index) in spike mode. Codes are
-held in the narrowest unsigned dtype that holds ``2**N - 1``
-(:func:`code_dtype`: uint8 up to N = 8), and :func:`encode_stream`
-allocates one zeroed ``(windows, pixels)`` block for all of them, capped at
+Both modes share one core, which encodes a run of consecutive windows:
+:func:`encode_stream` hands it every window of the stream, and the two
+window encoders one window each. The core locates the N*K step bounds of
+all its windows with one search over the stream (K = 1 in plain mode), so
+no window searches the stream itself, and builds each window's flat
+pixels and weights from that window's events alone. One step loop then
+ORs each step's slice bit in place into its window's row of codes, at the
+step's event pixels in plain mode and at the neurons that fired
+(:attr:`NeuronGrid.fired`, by flat index) in spike mode. Codes are held in
+the narrowest unsigned dtype that holds ``2**N - 1`` (:func:`code_dtype`:
+uint8 up to N = 8), in one zeroed ``(windows, pixels)`` block capped at
 :data:`MAX_FRAME_BYTES`. No slice stack is built on the encode path:
 :func:`encode_tbr` and :func:`decode_tbr` remain the lossless conversion
 between a :class:`BinarySliceStack` and its uint32 codes.
@@ -165,87 +167,94 @@ def decode_tbr(frame: EncodedFrame) -> BinarySliceStack:
     return BinarySliceStack(frame.geometry, slices.astype(np.bool_), frame.window_start)
 
 
-def encode_window_tbr(
-    stream: EventStream, cfg: EncoderConfig, window_start: int, out: np.ndarray | None = None
-) -> EncodedFrame:
+def encode_window_tbr(stream: EventStream, cfg: EncoderConfig, window_start: int) -> EncodedFrame:
     """Plain-mode encoding of one window.
 
     Each slice's bit is set on every pixel with an event in that slice, so
     the codes equal :func:`encode_tbr` of :func:`slice_stream`'s stack.
-    Events outside the window are skipped. ``out``, if given, is a zeroed
-    flat array of ``pixel_count`` codes in :func:`code_dtype` that the
-    frame's codes are written into (and that they view); by default a
-    new one is allocated.
+    Events outside the window are skipped.
     """
-    return _encode_window(stream, cfg, window_start, None, out)
+    return _encode_windows(stream, cfg, None, window_start, 1)[0]
 
 
 def encode_window_spike_tbr(
-    stream: EventStream,
-    cfg: EncoderConfig,
-    grid: NeuronGrid,
-    window_start: int,
-    out: np.ndarray | None = None,
+    stream: EventStream, cfg: EncoderConfig, grid: NeuronGrid, window_start: int
 ) -> EncodedFrame:
     """Spike-mode encoding of one window using (and mutating) ``grid``.
 
     Per slice: events are binned into K micro steps, each micro step drives
     one neuron update, and the slice's digit is set on every neuron that
     fired in any of them. Membrane state carries over into the next slice
-    and window. ``out`` is as in :func:`encode_window_tbr`.
+    and window.
     """
-    if grid.geometry != stream.geometry:
-        raise ValueError(
-            f"grid geometry {grid.geometry} does not match stream geometry {stream.geometry}"
-        )
-    return _encode_window(stream, cfg, window_start, grid, out)
+    return _encode_windows(stream, cfg, grid, window_start, 1)[0]
 
 
-def _encode_window(
+def _encode_windows(
     stream: EventStream,
     cfg: EncoderConfig,
-    window_start: int,
     grid: NeuronGrid | None,
-    out: np.ndarray | None,
-) -> EncodedFrame:
-    """The window body of both modes; ``grid`` is None in plain mode.
+    start: int,
+    n_windows: int,
+) -> list[EncodedFrame]:
+    """The core of both modes: ``n_windows`` consecutive windows from ``start``.
 
-    Step j of the window's N*K steps sets bit ``j // K`` on its active
-    pixels: the step's event pixels in plain mode (K = 1), the neurons that
-    fired after ``grid.step`` in spike mode. The fancy-index OR is exact
-    with repeated pixels, because every write in one step ORs the same bit.
+    ``grid`` is None in plain mode. Step j of the ``n_windows * N*K`` steps
+    sets bit ``j // K % N`` in row ``j // (N*K)`` of one zeroed code block,
+    on its active pixels: the step's event pixels in plain mode (K = 1),
+    the neurons that fired after ``grid.step`` in spike mode. The
+    fancy-index OR is exact with repeated pixels, because every write in
+    one step ORs the same bit.
     """
     slicing = cfg.slicing
-    n = slicing.bits_per_frame
+    n, duration = slicing.bits_per_frame, slicing.window_duration
     k = 1 if grid is None else cfg.micro_steps_per_slice
-    if window_start < 0 or window_start + slicing.window_duration > INT64_MAX:
+    geometry = stream.geometry
+    if start < 0 or start + n_windows * duration > INT64_MAX:
         raise ValueError("window outside representable microsecond range")
+    dtype = code_dtype(n)
+    nbytes = n_windows * geometry.pixel_count * dtype.itemsize
+    if nbytes > MAX_FRAME_BYTES:
+        last = "no events" if stream.last_t is None else f"last event at t={stream.last_t} us"
+        raise ValueError(
+            f"{n_windows} windows of {duration} us ({last}) would hold {nbytes} bytes "
+            f"of frame codes, over the limit of {MAX_FRAME_BYTES}"
+        )
+    if grid is not None and grid.geometry != geometry:
+        raise ValueError(f"grid geometry {grid.geometry} does not match stream geometry {geometry}")
 
-    # Bounds of all N*K steps, located with one search, relative to the
-    # window's first event.
-    edges = window_start + slicing.slice_duration // k * np.arange(n * k + 1, dtype=np.int64)
+    # Bounds of every step of every window, located with one search.
+    steps = n * k
+    edges = start + slicing.slice_duration // k * np.arange(n_windows * steps + 1, dtype=np.int64)
     bounds = np.searchsorted(stream.t, edges, side="left")
-    lo, hi = int(bounds[0]), int(bounds[-1])
-    bounds = (bounds - lo).tolist()
-    geometry, x, y = stream.geometry, stream.x[lo:hi], stream.y[lo:hi]
-    if grid is None:
-        pixels = y.astype(np.int64) * geometry.width + x
-    else:
-        events = StepInput.from_events(geometry, x, y, stream.p[lo:hi], grid.config)
-        weights, pixels = events.values, events.pixels
-
-    codes = np.zeros(geometry.pixel_count, code_dtype(n)) if out is None else out
-    bit = codes.dtype.type
-    for j in range(n * k):
-        a, b = bounds[j], bounds[j + 1]
+    block = np.zeros((n_windows, geometry.pixel_count), dtype)
+    bit = dtype.type
+    for j in range(n_windows * steps):
+        i = j % steps
+        if i == 0:
+            # A window's first step: the flat pixels (and weights) of its
+            # events alone, and its step bounds relative to its first event.
+            codes = block[j // steps]
+            lo, hi = int(bounds[j]), int(bounds[j + steps])
+            window = (bounds[j : j + steps + 1] - lo).tolist()
+            x, y = stream.x[lo:hi], stream.y[lo:hi]
+            if grid is None:
+                pixels = y.astype(np.int64) * geometry.width + x
+            else:
+                events = StepInput.from_events(geometry, x, y, stream.p[lo:hi], grid.config)
+                weights, pixels = events.values, events.pixels
+        a, b = window[i], window[i + 1]
         if grid is None:
             active = pixels[a:b]
         else:
             grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
             active = grid.fired
         if len(active):
-            codes[active] |= bit(1 << (j // k))
-    return EncodedFrame(geometry, n, codes.reshape(geometry.shape), window_start)
+            codes[active] |= bit(1 << (i // k))
+    return [
+        EncodedFrame(geometry, n, row.reshape(geometry.shape), start + w * duration)
+        for w, row in enumerate(block)
+    ]
 
 
 def encode_stream(
@@ -263,42 +272,21 @@ def encode_stream(
 
     The frames' codes are the rows of one zeroed ``(n_windows, pixels)``
     block in :func:`code_dtype`. A block of more than
-    :data:`MAX_FRAME_BYTES` raises ValueError before anything is
-    allocated or encoded.
+    :data:`MAX_FRAME_BYTES` raises ValueError before the block is
+    allocated or anything is encoded.
     """
-    duration = cfg.slicing.window_duration
     if n_windows is None:
         if len(stream) == 0:
             return []
-        n_windows = stream.last_t // duration + 1
+        n_windows = stream.last_t // cfg.slicing.window_duration + 1
     n_windows = int(n_windows)
     if n_windows < 0:
         raise ValueError(f"n_windows must be non-negative, got {n_windows}")
-    if n_windows * duration > INT64_MAX:
-        raise ValueError("window outside representable microsecond range")
-
-    dtype = code_dtype(cfg.slicing.bits_per_frame)
-    pixels = stream.geometry.pixel_count
-    nbytes = n_windows * pixels * dtype.itemsize
-    if nbytes > MAX_FRAME_BYTES:
-        last = "no events" if stream.last_t is None else f"last event at t={stream.last_t} us"
-        raise ValueError(
-            f"{n_windows} windows of {duration} us ({last}) would hold {nbytes} bytes "
-            f"of frame codes, over the limit of {MAX_FRAME_BYTES}"
-        )
-
-    if cfg.mode is EncoderMode.SPIKE_TBR and grid is None:
+    if cfg.mode is EncoderMode.TBR:
+        grid = None
+    elif grid is None:
         grid = NeuronGrid(stream.geometry, cfg.neuron)
-
-    block = np.zeros((n_windows, pixels), dtype)
-    frames = []
-    for w in range(n_windows):
-        start = w * duration
-        if cfg.mode is EncoderMode.TBR:
-            frames.append(encode_window_tbr(stream, cfg, start, block[w]))
-        else:
-            frames.append(encode_window_spike_tbr(stream, cfg, grid, start, block[w]))
-    return frames
+    return _encode_windows(stream, cfg, grid, 0, n_windows)
 
 
 __all__ = [

@@ -242,10 +242,15 @@ class TestSpikeWindowEncoding:
         assert np.array_equal(a.codes, b.codes)
 
     def test_geometry_mismatch_rejected(self):
+        # A grid with more pixels than the stream takes its events without
+        # an index error, so only the geometry check stops wrong frames.
         cfg = lever_config()
         grid = NeuronGrid(SensorGeometry(5, 5), cfg.neuron)
         with pytest.raises(ValueError):
             encode_window_spike_tbr(EventStream.empty(G), cfg, grid, 0)
+        stream = EventStream.from_events(G, [(0, 1, 1, 1), (30_000, 3, 3, 1)])
+        with pytest.raises(ValueError, match="grid geometry"):
+            encode_stream(stream, cfg, grid)
 
     def test_events_outside_window_ignored(self):
         cfg = lever_config()
@@ -322,14 +327,34 @@ class TestEncodeStream:
         assert sum(calls) == grid.ac_count == len(stream)
         assert sum(spikes) == grid.spike_count > 0
 
-    def test_whole_stream_equals_per_window_concatenation(self):
-        stream = random_stream(G, n_events=400, duration=80_000, seed=7)
-        frames = encode_stream(stream, CFG_TBR)
-        for k, frame in enumerate(frames):
-            start = k * SLICING.window_duration
+    @pytest.mark.parametrize(
+        "variant,k",
+        [pytest.param(None, 1, id="tbr")]
+        + [pytest.param(v, k, id=f"{v.value}-k{k}") for v in NeuronVariant for k in (1, 2)],
+    )
+    def test_whole_stream_equals_per_window_concatenation(self, variant, k):
+        # In spike mode the stream's grid and a second grid stepped window
+        # by window must end in the same state.
+        stream = random_stream(G, n_events=800, duration=80_000, seed=7)
+        if variant is None:
+            cfg, grid, solo_grid = CFG_TBR, None, None
+        else:
+            neuron = NeuronConfig(variant=variant, beta=0.5, v_th=1.1)
+            cfg = EncoderConfig(SLICING, EncoderMode.SPIKE_TBR, neuron, micro_steps_per_slice=k)
+            grid, solo_grid = NeuronGrid(G, neuron), NeuronGrid(G, neuron)
+        frames = encode_stream(stream, cfg, grid)
+        assert len(frames) == 4
+        for w, frame in enumerate(frames):
+            start = w * SLICING.window_duration
             window = stream[(stream.t >= start) & (stream.t < start + SLICING.window_duration)]
-            solo = encode_window_tbr(window, CFG_TBR, start)
+            if variant is None:
+                solo = encode_window_tbr(window, cfg, start)
+            else:
+                solo = encode_window_spike_tbr(window, cfg, solo_grid, start)
             assert frame == solo
+        if variant is not None:
+            assert grid.ac_count == solo_grid.ac_count >= len(stream)
+            assert grid.spike_count == solo_grid.spike_count > 0
 
     def test_negative_window_count_is_rejected(self):
         stream = EventStream.from_events(G, [(0, 1, 1, 1)])
@@ -344,9 +369,10 @@ class TestEncodeStream:
 
     def test_window_count_past_the_code_limit_is_rejected_before_encoding(self, monkeypatch):
         # One event at 10^12 us asks for 5 * 10^7 windows: the block would
-        # exceed MAX_FRAME_BYTES, so nothing is allocated or encoded.
-        monkeypatch.setattr(encoder, "encode_window_tbr", None)
+        # exceed MAX_FRAME_BYTES, so no step is located and no block allocated.
         stream = EventStream.from_events(SensorGeometry(32, 32), [(10**12, 1, 1, 1)])
+        monkeypatch.setattr(encoder.np, "searchsorted", None)
+        monkeypatch.setattr(encoder.np, "zeros", None)
         with pytest.raises(ValueError, match="50000001 windows .*t=1000000000000 us"):
             encode_stream(stream, CFG_TBR)
 
@@ -394,23 +420,24 @@ class TestNarrowCodes:
         assert all(np.array_equal(f.codes, b) for f, b in zip(frames[2:], before[2:]))
         assert np.array_equal(frames[0].codes, before[0])
 
+    @pytest.mark.parametrize("n_windows", [1, 7, 40])
     @pytest.mark.parametrize("mode", list(EncoderMode))
-    def test_each_window_goes_through_the_public_encoder(self, monkeypatch, mode):
-        # The benchmark's encoder.windows span wraps these names.
-        name = "encode_window_tbr" if mode is EncoderMode.TBR else "encode_window_spike_tbr"
+    def test_one_search_locates_every_window(self, monkeypatch, mode, n_windows):
+        # No window searches the stream itself: the step bounds of all
+        # windows come from one np.searchsorted call.
         calls = []
-        inner = getattr(encoder, name)
+        inner = np.searchsorted
 
         def counting(*args, **kwargs):
             calls.append(args)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(encoder, name, counting)
         cfg = EncoderConfig(SLICING, mode, NeuronConfig(beta=0.5, v_th=1.1))
         stream = random_stream(G, n_events=300, duration=90_000, seed=5)
-        frames = encode_stream(stream, cfg, n_windows=7)
-        assert len(calls) == len(frames) == 7
-
+        monkeypatch.setattr(encoder.np, "searchsorted", counting)
+        frames = encode_stream(stream, cfg, n_windows=n_windows)
+        assert len(frames) == n_windows
+        assert len(calls) == 1
 
 
 @st.composite

@@ -1,9 +1,14 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import evtbr
+from evtbr.events import SensorGeometry
+from evtbr.io import EventFileFormat, write_events
+from evtbr.noise import NoiseConfig, inject_noise_levels
+from evtbr.synth import SceneKind, SynthScene, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,16 +40,58 @@ def test_earlier_exports_are_kept():
     assert not hasattr(evtbr, "EVENT_DTYPE")
 
 
-def test_perfbench_spans_find_every_traced_name():
+# Runs each argument list through the traced CLI and prints one JSON line:
+# per run, the exit code and how far encoder.events_in moved.
+TRACED_RUNS = """
+import json, sys
+import evtbr.cli, spans
+rec = spans.install(evtbr.cli)
+rows = []
+for argv in json.loads(sys.argv[1]):
+    before = rec.layers()["encoder.events_in"]
+    code = evtbr.cli.main(argv)
+    rows.append([code, rec.layers()["encoder.events_in"] - before])
+print(json.dumps(rows))
+"""
+
+
+def test_perfbench_spans_find_every_traced_name(tmp_path):
     # perfbench/spans.py wraps functions by module attribute name, so a
     # renamed or deleted one breaks traced benchmark runs. Installed in a
-    # child process, so the wrappers never touch this test session.
+    # child process, so the wrappers never touch this test session. A
+    # traced benchmark run also fails unless encoder.events_in counts every
+    # event encoded: the input of `encode`, and for `curve` the clean
+    # stream and each noisy stream of every level and seed.
+    geometry = SensorGeometry(16, 12)
+    scene = SynthScene(SceneKind.MOVING_BAR, geometry, duration=41_000, seed=3)
+    clean = generate(scene)
+    write_events(clean, tmp_path / "ev.bin", EventFileFormat.BINARY_V1)
+    levels, seeds, base_seed, dt = [0.0, 0.02, 0.1], 3, 7, 2_500
+    noisy = 0
+    for i in range(seeds):
+        cfgs = [NoiseConfig(p, dt, base_seed + i) for p in levels]
+        noisy += sum(len(s) for s in inject_noise_levels(clean, cfgs, span=(0, scene.duration)))
+
+    argvs, expected = [], []
+    for mode in ("tbr", "spike-tbr"):
+        flags = ["--mode", mode, "--dt-us", str(dt), "--bits", "4"]
+        out = str(tmp_path / mode)
+        argvs.append(["encode", "--in", str(tmp_path / "ev.bin"), "--out-dir", out, *flags])
+        argvs.append(
+            ["curve", "--kind", "moving-bar", "--size", "16x12", "--duration-ms", "41",
+             "--seed", "3", "--p-list", "0,0.02,0.1", "--seeds", str(seeds),
+             "--base-seed", str(base_seed), "--out", out + ".csv", *flags]
+        )
+        expected += [[0, len(clean)], [0, len(clean) + noisy]]
+
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        [sys.executable, "-c", "import evtbr.cli, spans; spans.install(evtbr.cli)"],
+        [sys.executable, "-c", TRACED_RUNS, json.dumps(argvs)],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
+    assert noisy > seeds * len(levels) * len(clean)
