@@ -176,7 +176,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
     signal = _read_event_file(args.infile, args.size)
     if args.noise_file is not None:
         recording = _read_event_file(args.noise_file, args.noise_size, flag="--noise-size")
-        out = merge_noise_recording(signal, recording, signal.geometry)
+        out = merge_noise_recording(signal, recording)
     else:
         cfg = NoiseConfig(
             probability=args.p,

@@ -222,6 +222,8 @@ def _encode_windows(
         )
     if grid is not None and grid.geometry != geometry:
         raise ValueError(f"grid geometry {grid.geometry} does not match stream geometry {geometry}")
+    if grid is not None and grid.config != cfg.neuron:
+        raise ValueError(f"grid neuron config {grid.config} does not match encoder's {cfg.neuron}")
 
     # Bounds of every step of every window, located with one search.
     steps = n * k
@@ -267,8 +269,8 @@ def encode_stream(
 
     ``n_windows`` overrides the window count (default: enough windows to
     cover the last event; an empty stream yields no frames). In spike mode
-    a fresh grid is created unless one is passed in, and its membrane state
-    carries across windows.
+    a fresh grid is created unless one with the stream's geometry and
+    ``cfg.neuron`` is passed in, and its membrane state carries across windows.
 
     The frames' codes are the rows of one zeroed ``(n_windows, pixels)``
     block in :func:`code_dtype`. A block of more than

@@ -207,6 +207,8 @@ class NeuronGrid:
         self._shift = _halving_shift(config)
         self._clock = self._synced = 0
         self._last = np.zeros(n, dtype=np.int32) if self._shift is not None else None
+        # Set by reading v: a write through it may leave membranes over v_th.
+        self._exposed = False
         self.ac_count = 0
         self.spike_count = 0
 
@@ -214,6 +216,7 @@ class NeuronGrid:
     def v(self) -> np.ndarray:
         """(H, W) membrane potentials, brought up to date with the step clock."""
         self._sync()
+        self._exposed = True
         return self._v.reshape(self.geometry.shape)
 
     def step(self, inp: StepInput) -> SpikeFrame:
@@ -227,10 +230,8 @@ class NeuronGrid:
         ``v_rest == 0``, the threshold is tested only on the input's pixels
         and, for ``reclif`` and ``lrlif``, on the previous step's spikers:
         the leak then never raises a membrane (``beta * v <= max(v, 0)``),
-        so no other neuron can cross. This relies on each step leaving every
-        membrane but its spikers' below ``v_th``; a membrane written
-        directly at or above ``v_th`` is only caught by a step that tests
-        them all.
+        so no other neuron can cross. After a read of :attr:`v`, the next
+        step also tests the membranes then at or above ``v_th``.
 
         If moreover ``beta = 2**-m``, such a step can leak only those same
         neurons and cost O(events): it does so below one event per 128
@@ -252,6 +253,9 @@ class NeuronGrid:
         candidates = pixels
         if sparse and len(prev) and cfg.variant in (NeuronVariant.REC_LIF, NeuronVariant.LR_LIF):
             candidates = np.concatenate((pixels, prev))
+        if sparse and self._exposed:
+            candidates = np.concatenate((candidates, np.flatnonzero(v >= cfg.v_th)))
+        self._exposed = False
         # A lazy leak beats a dense one below one event per
         # _LAZY_PIXELS_PER_EVENT pixels beyond _LAZY_MIN_PIXELS.
         lazy = (
@@ -355,14 +359,12 @@ class NeuronGrid:
 
     def _sync(self) -> None:
         """Bring every membrane up to date with the step clock."""
-        if self._synced == self._clock:
-            return
-        self._v[:] = self._decayed(self._v, self._clock - self._last)
-        self._last.fill(self._clock)
-        self._synced = self._clock
+        if self._synced != self._clock:
+            self._catch_up(slice(None))
+            self._synced = self._clock
 
-    def _catch_up(self, neurons: np.ndarray) -> None:
-        """Bring the given neurons (flat indices, repeats allowed) up to date."""
+    def _catch_up(self, neurons: np.ndarray | slice) -> None:
+        """Bring the given neurons (flat indices, repeats allowed, or a slice) up to date."""
         gaps = self._clock - self._last[neurons]
         self._last[neurons] = self._clock
         self._v[neurons] = self._decayed(self._v[neurons], gaps)

@@ -12,8 +12,10 @@ and within a slice the draw order is fixed:
    uint32 draw u gives m = u * width, and start + (m >> 32) unless
    m mod 2^32 < (2^32 - width) % width, which rejects u and draws again;
    a slice of width 1 draws no timestamps;
-3. one polarity per firing pixel, from bit 7 of a byte; the bytes start
-   after the timestamps' last uint32.
+3. one polarity bit per firing pixel, from bit 7 of a byte; the bytes
+   start after the timestamps' last uint32. Both polarity rules draw them;
+   fixed-positive sets p = +1 and ignores them. Each slice has its own
+   generator, so words it does not use reach no output.
 
 uint32 draws take the low, then the high half of each 64-bit word, and
 bytes come low first from each uint32. These are exactly the words the
@@ -249,14 +251,13 @@ def _draw_noise(
     dt = cfg.slice_duration
     p_max = max(levels)
     n_slices = (t1 - t0 + dt - 1) // dt if p_max > 0.0 else 0
-    random_polarity = cfg.polarity_rule is PolarityRule.RANDOM_UNIFORM
     pixels, uniforms, slices, words = [], [], [], []
     for s, rng in _keyed_generators(cfg.rng_seed, NOISE_DOMAIN_TAG, range(n_slices)):
         u = rng.random(geometry.pixel_count)
         fired = (u < p_max).nonzero()[0]
         if fired.size:
             k = fired.size
-            uint32s = k * (dt > 1) + (-(-k // 4) if random_polarity else 0)
+            uint32s = k * (dt > 1) + -(-k // 4)
             pixels.append(fired)
             uniforms.append(u[fired])
             slices.append(s)
@@ -285,16 +286,17 @@ def _draw_noise(
         starts = t0 + slices[firing] * dt
         ends = np.cumsum(counts)
         t = np.empty(ends[-1], dtype=np.int64)
-        bits = np.empty(ends[-1], dtype=np.uint8) if random_polarity else None
+        bits = np.empty(ends[-1], dtype=np.uint8)
         for i in _decode(u32, first[firing], counts, starts, dt, t1, t, bits).tolist():
             events = slice(ends[i] - counts[i], ends[i])
             rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, keys[i]])
             rng.random(geometry.pixel_count)
             t[events] = rng.integers(starts[i], min(starts[i] + dt, t1), size=counts[i], dtype=np.int64)
-            if bits is not None:
-                bits[events] = rng.integers(0, 2, size=counts[i], dtype=np.int8)
-        pol = np.ones(t.size, dtype=np.int8) if bits is None else bits.view(np.int8)
-        if bits is not None:
+            bits[events] = rng.integers(0, 2, size=counts[i], dtype=np.int8)
+        pol = bits.view(np.int8)
+        if cfg.polarity_rule is PolarityRule.FIXED_POSITIVE:
+            pol.fill(1)
+        else:
             pol *= 2
             pol -= 1
         noise = EventStream(geometry, t, fired % geometry.width, fired // geometry.width, pol)
@@ -307,10 +309,10 @@ def _decode(u32, first, counts, starts, width, end, t, bits) -> np.ndarray:
     """Write the firing slices' timestamps and polarity bits (0 or 1).
 
     ``first`` (its first uint32 in ``u32``), ``counts`` and ``starts`` are
-    per slice, and every slice is ``width`` wide; ``t`` and ``bits`` (None
-    for fixed polarities) hold the slices' events. Returns the indices of
-    the slices to draw again: one that the span's ``end`` cuts short, those
-    where Lemire rejected a timestamp draw, or all of them past 2^32 wide.
+    per slice, and every slice is ``width`` wide; ``t`` and ``bits`` hold
+    the slices' events. Returns the indices of the slices to draw again:
+    one that the span's ``end`` cuts short, those where Lemire rejected a
+    timestamp draw, or all of them past 2^32 wide.
     """
     if width > _U32_SPAN:
         return np.arange(len(counts))
@@ -326,21 +328,16 @@ def _decode(u32, first, counts, starts, width, end, t, bits) -> np.ndarray:
         m >>= np.uint64(32)
         t += m.view(np.int64)
         first = first + counts
-    if bits is not None:
-        # Bit 7 of a byte is integers(0, 2, dtype=int8)'s draw from it.
-        np.right_shift(u32.view(np.uint8)[np.repeat(4 * first, counts) + rank], 7, out=bits)
+    # Bit 7 of a byte is integers(0, 2, dtype=int8)'s draw from it.
+    np.right_shift(u32.view(np.uint8)[np.repeat(4 * first, counts) + rank], 7, out=bits)
     return np.flatnonzero(redo)
 
 
-def merge_noise_recording(
-    signal: EventStream,
-    noise: EventStream,
-    target_geometry: SensorGeometry,
-) -> EventStream:
+def merge_noise_recording(signal: EventStream, noise: EventStream) -> EventStream:
     """Overlay a recorded background-noise stream onto a signal stream.
 
-    Noise coordinates are rescaled to the target geometry by nearest-pixel
-    mapping (x' = x * W_target // W_noise), its start is aligned to the
+    Noise coordinates are rescaled to the signal's geometry by nearest-pixel
+    mapping (x' = x * W_signal // W_noise), its start is aligned to the
     signal's first event, and the recording is tiled end to end, one copy
     every (last - first noise timestamp) µs, until it covers the signal,
     then truncated at the signal's last event. Each copy is the whole
@@ -351,17 +348,14 @@ def merge_noise_recording(
     share one timestamp has no period to tile with: it is laid over the
     signal once, at the signal's first event.
     """
-    if signal.geometry != target_geometry:
-        raise ValueError(
-            f"signal geometry {signal.geometry} does not match target {target_geometry}"
-        )
     if len(noise) == 0:
         raise ValueError("noise recording is empty")
     if len(signal) == 0:
         return signal
 
-    nx = noise.x.astype(np.int64) * target_geometry.width // noise.geometry.width
-    ny = noise.y.astype(np.int64) * target_geometry.height // noise.geometry.height
+    geometry = signal.geometry
+    nx = noise.x.astype(np.int64) * geometry.width // noise.geometry.width
+    ny = noise.y.astype(np.int64) * geometry.height // noise.geometry.height
 
     sig_start = int(signal.t[0])
     sig_end = int(signal.t[-1])
@@ -374,13 +368,13 @@ def merge_noise_recording(
     shifted = (offsets[:, None] + noise_t).ravel()
     keep = shifted <= sig_end
     overlay = EventStream(
-        target_geometry,
+        geometry,
         shifted[keep],
         np.tile(nx, n_copies)[keep],
         np.tile(ny, n_copies)[keep],
         np.tile(noise.p, n_copies)[keep],
     )
-    return merge_sorted_by_time(target_geometry, signal, overlay)
+    return merge_sorted_by_time(geometry, signal, overlay)
 
 
 __all__ = [

@@ -251,6 +251,27 @@ class TestSpikeWindowEncoding:
         stream = EventStream.from_events(G, [(0, 1, 1, 1), (30_000, 3, 3, 1)])
         with pytest.raises(ValueError, match="grid geometry"):
             encode_stream(stream, cfg, grid)
+        # A grid of another neuron config would encode one event at v_th 0.5
+        # as a spike, while cfg.label() names cfg.neuron (v_th 1.1).
+        cfg = EncoderConfig(SLICING, EncoderMode.SPIKE_TBR, NeuronConfig(beta=0.5))
+        grid = NeuronGrid(G, NeuronConfig(beta=0.5, v_th=0.5))
+        stream = EventStream.from_events(G, [(0, 1, 1, 1)])
+        with pytest.raises(ValueError, match="grid neuron config"):
+            encode_window_spike_tbr(stream, cfg, grid, 0)
+        with pytest.raises(ValueError, match="grid neuron config"):
+            encode_stream(stream, cfg, grid)
+
+    @pytest.mark.parametrize(
+        "geometry", [SensorGeometry(64, 48), SensorGeometry(320, 240)], ids=["sparse", "lazy"]
+    )
+    def test_carried_membrane_over_threshold_fires(self, geometry):
+        # A membrane written through grid.v above v_th fires on the first
+        # step, although the window's only event is elsewhere.
+        cfg = EncoderConfig(SLICING, EncoderMode.SPIKE_TBR, NeuronConfig(beta=0.5))
+        grid = NeuronGrid(geometry, cfg.neuron)
+        grid.v[5, 5] = 3.0
+        frame = encode_window_spike_tbr(EventStream.from_events(geometry, [(0, 0, 0, 1)]), cfg, grid, 0)
+        assert frame.codes[5, 5] == 1 and frame.codes.sum() == 1
 
     def test_events_outside_window_ignored(self):
         cfg = lever_config()

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -38,6 +39,49 @@ def test_every_exported_name_resolves():
 def test_earlier_exports_are_kept():
     assert set(EARLIER_EXPORTS) - set(evtbr.__all__) == set()
     assert not hasattr(evtbr, "EVENT_DTYPE")
+
+
+# Imports that their module never uses, kept only so that perfbench/spans.py
+# finds and wraps them by name until the program counts its own layers.
+BENCH_ONLY_IMPORTS = {"encoder.slice_stream", "metrics.inject_noise"}
+
+
+def module_all(tree: ast.Module) -> set[str]:
+    """The string entries of a module's top-level ``__all__`` list."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        for elt in node.value.elts
+        if isinstance(elt, ast.Constant)
+    }
+
+
+def test_src_has_no_unused_imports_or_unreferenced_private_definitions():
+    src = ROOT / "src" / "evtbr"
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    referenced = set()  # every name a module loads, reads as an attribute or imports
+    dead = set()
+    for module, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)} | module_all(tree)
+        referenced |= used | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    referenced.add(alias.name)
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in used:
+                        dead.add(f"{module}.{bound}")
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if node.name not in referenced:
+                    dead.add(f"{module}.{node.name}")
+    assert sorted(dead - BENCH_ONLY_IMPORTS) == []
 
 
 # Runs each argument list through the traced CLI and prints one JSON line:

@@ -68,7 +68,7 @@ def _merge_recording():
     recording = noise_only_stream(
         NoiseConfig(probability=0.1, slice_duration=4, rng_seed=3), SensorGeometry(8, 6), (0, 150)
     )
-    return merge_noise_recording(signal, recording, signal.geometry)
+    return merge_noise_recording(signal, recording)
 
 
 CASES = {

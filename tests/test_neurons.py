@@ -249,6 +249,25 @@ class TestCandidateSet:
         assert np.array_equal(frame, dense.step(StepInput.zeros(self.BIG)))
         assert sparse.fired.tolist() == dense.fired.tolist() == [self.FLAT]
 
+    @pytest.mark.parametrize("idle", [0, 1])
+    @pytest.mark.parametrize("variant", list(NeuronVariant))
+    @pytest.mark.parametrize("geometry", [BIG, LAZY_GEOMETRY], ids=["sparse", "lazy"])
+    def test_membrane_written_over_threshold_fires_as_dense(self, geometry, variant, idle):
+        # A membrane written through v at or above v_th is no step's input
+        # and no step's spiker; the next sparse step must still test it.
+        cfg = NeuronConfig(variant=variant, beta=0.5)
+        sparse, dense = NeuronGrid(geometry, cfg), NeuronGrid(geometry, cfg)
+        sparse.v[7, 5] = dense.v[7, 5] = 5.0
+        sparse.decay_only(idle)
+        dense.decay_only(idle)
+        frame = sparse.step(one_event_input(geometry, cfg, 0, 0))
+        values = np.zeros(geometry.shape)
+        values[0, 0] = 1.0
+        assert np.array_equal(frame, dense.step(StepInput(values, 1)))
+        assert sparse.fired.tolist() == dense.fired.tolist() == [7 * geometry.width + 5]
+        assert lazy_steps(sparse) == idle + (geometry is LAZY_GEOMETRY)
+        assert same_bits(sparse.v, dense.v)
+
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit-for-bit equality of two float arrays, signed zeros included."""
@@ -333,7 +352,8 @@ class TestLazyLeak:
         # after 1200 steps their idle gaps span 0..1199, across the steps
         # where the chain leaves the normal floats (about 1022 at 0.5, 511
         # at 0.25). The reference is a plain array leaked by ``*= beta``.
-        cfg = NeuronConfig(beta=beta, weight_pos=1 + 2**-52, weight_neg=-0.7)
+        # The chain never fires, so v_th sits above every written membrane.
+        cfg = NeuronConfig(beta=beta, v_th=2.0**61, weight_pos=1 + 2**-52, weight_neg=-0.7)
         grid = NeuronGrid(LAZY_GEOMETRY, cfg)
         chain = np.zeros(LAZY_GEOMETRY.pixel_count)
         total, lanes = 1200, 10_000

@@ -405,7 +405,7 @@ class TestMergeNoiseRecording:
     def test_identity_geometry_overlay(self):
         signal = EventStream.from_events(G, [(1_000, 0, 0, 1), (9_000, 3, 3, 1)])
         noise = EventStream.from_events(G, [(0, 1, 1, -1), (2_000, 2, 2, 1)])
-        merged = merge_noise_recording(signal, noise, G)
+        merged = merge_noise_recording(signal, noise)
         assert len(merged) >= len(signal)
         assert (np.diff(merged.t) >= 0).all()
         # Signal events survive the merge.
@@ -414,14 +414,14 @@ class TestMergeNoiseRecording:
     def test_noise_aligned_to_signal_start(self):
         signal = EventStream.from_events(G, [(10_000, 0, 0, 1), (12_000, 0, 0, 1)])
         noise = EventStream.from_events(G, [(500, 1, 1, 1), (700, 2, 2, 1)])
-        merged = merge_noise_recording(signal, noise, G)
+        merged = merge_noise_recording(signal, noise)
         assert int(merged.t[merged.x != 0].min()) == 10_000
 
     def test_coordinates_rescaled_to_target(self):
         big = SensorGeometry(128, 128)
         signal = EventStream.from_events(big, [(0, 0, 0, 1), (10_000, 127, 127, 1)])
         noise_small = EventStream.from_events(SensorGeometry(64, 64), [(0, 32, 16, 1)])
-        merged = merge_noise_recording(signal, noise_small, big)
+        merged = merge_noise_recording(signal, noise_small)
         added = merged[(merged.x == 64) & (merged.y == 32)]
         assert len(added) >= 1
 
@@ -429,14 +429,14 @@ class TestMergeNoiseRecording:
         big = SensorGeometry(100, 60)
         signal = EventStream.from_events(big, [(0, 0, 0, 1), (50_000, 99, 59, 1)])
         noise = random_stream(SensorGeometry(64, 64), n_events=500, duration=10_000, seed=3)
-        merged = merge_noise_recording(signal, noise, big)
+        merged = merge_noise_recording(signal, noise)
         assert (merged.x < 100).all() and (merged.y < 60).all()
         assert (merged.x >= 0).all() and (merged.y >= 0).all()
 
     def test_short_recording_tiles_to_cover_signal(self):
         signal = EventStream.from_events(G, [(0, 0, 0, 1), (50_000, 3, 3, 1)])
         noise = EventStream.from_events(G, [(0, 1, 1, 1), (5_000, 2, 2, 1)])
-        merged = merge_noise_recording(signal, noise, G)
+        merged = merge_noise_recording(signal, noise)
         added_t = merged.t[merged.x == 1]
         # The tile period is 5000us, so copies land at 0, 5000, 10000, ...
         assert len(added_t) >= 10
@@ -447,35 +447,29 @@ class TestMergeNoiseRecording:
         # both stay, so every copy is the whole recording.
         signal = EventStream.from_events(G, [(0, 0, 0, 1), (100, 3, 3, 1)])
         noise = EventStream.from_events(G, [(10, 1, 1, 1), (40, 2, 2, 1)])
-        merged = merge_noise_recording(signal, noise, G)
+        merged = merge_noise_recording(signal, noise)
         assert merged.t.tolist() == [0, 0, 30, 30, 60, 60, 90, 90, 100]
         assert merged.x.tolist() == [0, 1, 2, 1, 2, 1, 2, 1, 3]
 
     def test_single_timestamp_recording_laid_over_once(self):
         signal = EventStream.from_events(G, [(1_000, 0, 0, 1), (21_000, 0, 3, 1)])
         noise = EventStream.from_events(G, [(500, 1, 1, 1), (500, 2, 2, -1)])
-        merged = merge_noise_recording(signal, noise, G)
+        merged = merge_noise_recording(signal, noise)
         assert len(merged) == len(signal) + 2
         assert merged.t[merged.x != 0].tolist() == [1_000, 1_000]
 
     def test_truncated_at_signal_end(self):
         signal = EventStream.from_events(G, [(0, 0, 0, 1), (7_000, 3, 3, 1)])
         noise = EventStream.from_events(G, [(0, 1, 1, 1), (5_000, 2, 2, 1)])
-        merged = merge_noise_recording(signal, noise, G)
+        merged = merge_noise_recording(signal, noise)
         assert int(merged.t.max()) <= 7_000
 
     def test_empty_noise_rejected(self):
         signal = EventStream.from_events(G, [(0, 0, 0, 1)])
         with pytest.raises(ValueError):
-            merge_noise_recording(signal, EventStream.empty(G), G)
+            merge_noise_recording(signal, EventStream.empty(G))
 
     def test_empty_signal_passes_through(self):
         noise = EventStream.from_events(G, [(0, 1, 1, 1)])
-        out = merge_noise_recording(EventStream.empty(G), noise, G)
+        out = merge_noise_recording(EventStream.empty(G), noise)
         assert len(out) == 0
-
-    def test_geometry_mismatch_rejected(self):
-        signal = EventStream.from_events(G, [(0, 0, 0, 1)])
-        noise = EventStream.from_events(G, [(0, 1, 1, 1)])
-        with pytest.raises(ValueError):
-            merge_noise_recording(signal, noise, SensorGeometry(8, 8))
