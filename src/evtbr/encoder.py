@@ -69,8 +69,8 @@ class EncoderMode(str, Enum):
 class EncodedFrame:
     """One encoded frame: an (H, W) grid of integer codes in [0, 2**N - 1].
 
-    Unsigned codes are kept in their dtype; any other dtype is widened to
-    uint32.
+    Unsigned codes are kept in their dtype; any other dtype is cast to
+    uint32, and a code the cast would change raises ValueError.
     """
 
     geometry: SensorGeometry
@@ -84,7 +84,9 @@ class EncodedFrame:
                 f"code array shape {self.codes.shape} does not match geometry {self.geometry.shape}"
             )
         if self.codes.dtype.kind != "u":
-            self.codes = self.codes.astype(np.uint32)
+            codes, self.codes = self.codes, self.codes.astype(np.uint32)
+            if not np.array_equal(self.codes, codes):
+                raise ValueError("codes must be non-negative integers below 2**32")
 
     @property
     def max_code(self) -> int:
@@ -199,26 +201,27 @@ def _encode_windows(
 ) -> list[EncodedFrame]:
     """The core of both modes: ``n_windows`` consecutive windows from ``start``.
 
-    ``grid`` is None in plain mode. Step j of the ``n_windows * N*K`` steps
-    sets bit ``j // K % N`` in row ``j // (N*K)`` of one zeroed code block,
-    on its active pixels: the step's event pixels in plain mode (K = 1),
-    the neurons that fired after ``grid.step`` in spike mode. The
-    fancy-index OR is exact with repeated pixels, because every write in
-    one step ORs the same bit.
+    ``grid`` is None in plain mode. Each window runs N*K steps, and step i
+    of window w sets bit ``i // K`` in row w of one zeroed code block, on
+    its active pixels: the step's event pixels in plain mode (K = 1), the
+    neurons that fired after ``grid.step`` in spike mode. The fancy-index
+    OR is exact with repeated pixels, because every write in one step ORs
+    the same bit.
     """
     slicing = cfg.slicing
     n, duration = slicing.bits_per_frame, slicing.window_duration
     k = 1 if grid is None else cfg.micro_steps_per_slice
+    steps = n * k
     geometry = stream.geometry
     if start < 0 or start + n_windows * duration > INT64_MAX:
         raise ValueError("window outside representable microsecond range")
     dtype = code_dtype(n)
-    nbytes = n_windows * geometry.pixel_count * dtype.itemsize
+    nbytes = n_windows * (geometry.pixel_count * dtype.itemsize + 16 * steps)  # int64 edge, bound
     if nbytes > MAX_FRAME_BYTES:
         last = "no events" if stream.last_t is None else f"last event at t={stream.last_t} us"
         raise ValueError(
             f"{n_windows} windows of {duration} us ({last}) would hold {nbytes} bytes "
-            f"of frame codes, over the limit of {MAX_FRAME_BYTES}"
+            f"of frame codes and step bounds, over the limit of {MAX_FRAME_BYTES}"
         )
     if grid is not None and grid.geometry != geometry:
         raise ValueError(f"grid geometry {grid.geometry} does not match stream geometry {geometry}")
@@ -226,33 +229,30 @@ def _encode_windows(
         raise ValueError(f"grid neuron config {grid.config} does not match encoder's {cfg.neuron}")
 
     # Bounds of every step of every window, located with one search.
-    steps = n * k
     edges = start + slicing.slice_duration // k * np.arange(n_windows * steps + 1, dtype=np.int64)
     bounds = np.searchsorted(stream.t, edges, side="left")
     block = np.zeros((n_windows, geometry.pixel_count), dtype)
     bit = dtype.type
-    for j in range(n_windows * steps):
-        i = j % steps
-        if i == 0:
-            # A window's first step: the flat pixels (and weights) of its
-            # events alone, and its step bounds relative to its first event.
-            codes = block[j // steps]
-            lo, hi = int(bounds[j]), int(bounds[j + steps])
-            window = (bounds[j : j + steps + 1] - lo).tolist()
-            x, y = stream.x[lo:hi], stream.y[lo:hi]
-            if grid is None:
-                pixels = y.astype(np.int64) * geometry.width + x
-            else:
-                events = StepInput.from_events(geometry, x, y, stream.p[lo:hi], grid.config)
-                weights, pixels = events.values, events.pixels
-        a, b = window[i], window[i + 1]
+    for w, codes in enumerate(block):
+        # The flat pixels (and weights) of the window's events alone, and
+        # its step bounds relative to its first event.
+        lo, hi = int(bounds[w * steps]), int(bounds[(w + 1) * steps])
+        window = (bounds[w * steps : (w + 1) * steps + 1] - lo).tolist()
+        x, y = stream.x[lo:hi], stream.y[lo:hi]
         if grid is None:
-            active = pixels[a:b]
+            pixels = y.astype(np.int64) * geometry.width + x
         else:
-            grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
-            active = grid.fired
-        if len(active):
-            codes[active] |= bit(1 << (i // k))
+            events = StepInput.from_events(geometry, x, y, stream.p[lo:hi], grid.config)
+            weights, pixels = events.values, events.pixels
+        for i in range(steps):
+            a, b = window[i], window[i + 1]
+            if grid is None:
+                active = pixels[a:b]
+            else:
+                grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
+                active = grid.fired
+            if len(active):
+                codes[active] |= bit(1 << (i // k))
     return [
         EncodedFrame(geometry, n, row.reshape(geometry.shape), start + w * duration)
         for w, row in enumerate(block)
@@ -273,9 +273,9 @@ def encode_stream(
     ``cfg.neuron`` is passed in, and its membrane state carries across windows.
 
     The frames' codes are the rows of one zeroed ``(n_windows, pixels)``
-    block in :func:`code_dtype`. A block of more than
-    :data:`MAX_FRAME_BYTES` raises ValueError before the block is
-    allocated or anything is encoded.
+    block in :func:`code_dtype`. A block that, with 16 bytes of step
+    bounds per step, holds more than :data:`MAX_FRAME_BYTES` raises
+    ValueError before the block is allocated or anything is encoded.
     """
     if n_windows is None:
         if len(stream) == 0:

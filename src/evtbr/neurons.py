@@ -27,18 +27,18 @@ the membrane before it has fully leaked away. That is the noise filter the
 spike-based encoder builds on.
 
 Cost per step: a step built by :meth:`StepInput.from_events` carries one
-weight per event and its flat pixel index, and the grid adds those
-weights to the touched membranes only. With ``v_rest == 0`` and fewer
-than one event per 16 pixels, the threshold test, the reset and the
+weight per event and its flat pixel index. With ``v_rest == 0`` and
+fewer than one event per 16 pixels, the grid adds those weights to the
+touched membranes only, and the threshold test, the reset and the
 recurrent feedback touch only the step's input pixels and the previous
-step's spikers; other steps test every membrane. The leak is dense,
-O(pixels), unless moreover ``beta = 2**-m`` (the default 0.5 included)
-and the step holds fewer than one event per 128 pixels beyond the first
-65 536, as at 1280x720 with a few thousand events: then each touched
-membrane is caught up on its idle steps at once, and the whole step is
-O(events). Either way every neuron follows the update above exactly.
-The spike frame a step returns is one reused buffer, valid until the next
-step.
+step's spikers; other steps histogram the weights and test every
+membrane. The leak is dense, O(pixels), unless moreover ``beta = 2**-m``
+(the default 0.5 included) and the step holds fewer than one event per
+128 pixels beyond the first 65 536, as at 1280x720 with a few thousand
+events: then each touched membrane is caught up on its idle steps at
+once, and the whole step is O(events). Either way every neuron follows
+the update above exactly. The spike frame a step returns is one reused
+buffer, valid until the next step.
 
 Accounting: the grid counts one accumulate operation (AC) per event
 integrated plus one per recurrent feedback addition actually applied, and
@@ -247,7 +247,7 @@ class NeuronGrid:
         v = self._v
         prev = self.fired
         # Below one event per 16 pixels scattered adds beat a full histogram.
-        sparse = pixels is not None and 16 * len(pixels) < v.size
+        sparse = pixels is not None and cfg.v_rest == 0.0 and 16 * len(pixels) < v.size
         # The neurons a sparse step can make cross the threshold. The hard
         # reset leaves lif and plif spikers at rest, where they stay.
         candidates = pixels
@@ -286,7 +286,7 @@ class NeuronGrid:
             self.ac_count += len(prev)
 
         frame = self._frame
-        if sparse and cfg.v_rest == 0.0:
+        if sparse:
             fired = candidates[v[candidates] >= cfg.v_th]
             if len(fired) > 1:
                 fired = sorted_unique(fired)

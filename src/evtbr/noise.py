@@ -218,8 +218,11 @@ def inject_noise_levels(
 ) -> Iterator[EventStream]:
     """Yield :func:`inject_noise` of the stream for each config, in order.
 
-    The configs may differ only in probability: each slice is drawn once for
-    all of them, and each noisy stream is merged when it is asked for.
+    The configs may differ only in probability. Each slice is drawn once, at
+    the highest level: the draw loop keeps each firing slice's pixels,
+    uniforms and raw words (see the module docstring), and one pass per
+    level decodes them. Each noisy stream is merged when it is asked for; a
+    level where no pixel fires yields ``stream`` itself.
     """
     if not cfgs:
         return
@@ -234,21 +237,9 @@ def inject_noise_levels(
         raise ValueError(f"span start must be non-negative, got {t0}")
     if t0 >= t1:
         raise ValueError(f"span must be non-empty, got [{t0}, {t1})")
-    for noise in _draw_noise(stream.geometry, cfg, [c.probability for c in cfgs], t0, t1):
-        # Slices are disjoint in time and each is in pixel order, so one stable
-        # sort orders the noise by (t, pixel) and puts signal first on ties.
-        yield stream if noise is None else merge_sorted_by_time(stream.geometry, stream, noise)
 
-
-def _draw_noise(
-    geometry: SensorGeometry, cfg: NoiseConfig, levels: list[float], t0: int, t1: int
-) -> Iterator[EventStream | None]:
-    """Per level, the noise events of span [t0, t1) in slice order, or None if no pixel fires.
-
-    The loop keeps each firing slice's pixels, uniforms and raw words at the
-    highest level (see the module docstring); one pass per level decodes them.
-    """
-    dt = cfg.slice_duration
+    geometry, dt = stream.geometry, cfg.slice_duration
+    levels = [c.probability for c in cfgs]
     p_max = max(levels)
     n_slices = (t1 - t0 + dt - 1) // dt if p_max > 0.0 else 0
     pixels, uniforms, slices, words = [], [], [], []
@@ -263,7 +254,7 @@ def _draw_noise(
             slices.append(s)
             words.append(rng.bit_generator.random_raw(-(-uint32s // 2)))
     if not pixels:
-        yield from [None] * len(levels)
+        yield from [stream] * len(levels)
         return
 
     offsets = np.cumsum([0] + [f.size for f in pixels[:-1]])  # each slice's first pixel
@@ -277,17 +268,16 @@ def _draw_noise(
     for level, p in enumerate(levels):
         keep = u < p  # every kept uniform is below p_max, so this is the set u < p
         counts = np.add.reduceat(keep, offsets, dtype=np.int64)
-        fired = pixel[keep]
         firing = counts.nonzero()[0]
         if not firing.size:
-            yield None
+            yield stream
             continue
+        fired = pixel[keep]
         counts, keys = counts[firing], slices[firing].tolist()
         starts = t0 + slices[firing] * dt
+        t, bits, redo = _decode(u32, first[firing], counts, starts, dt, t1)
         ends = np.cumsum(counts)
-        t = np.empty(ends[-1], dtype=np.int64)
-        bits = np.empty(ends[-1], dtype=np.uint8)
-        for i in _decode(u32, first[firing], counts, starts, dt, t1, t, bits).tolist():
+        for i in redo.tolist():
             events = slice(ends[i] - counts[i], ends[i])
             rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, keys[i]])
             rng.random(geometry.pixel_count)
@@ -301,25 +291,27 @@ def _draw_noise(
             pol -= 1
         noise = EventStream(geometry, t, fired % geometry.width, fired // geometry.width, pol)
         if level == len(levels) - 1:
-            del pixel, u, u32, keep, fired  # the caller's last merge needs none of them
-        yield noise
+            del pixel, u, u32, keep, fired  # the last merge needs none of them
+        # Slices are disjoint in time and each is in pixel order, so one stable
+        # sort orders the noise by (t, pixel) and puts signal first on ties.
+        yield merge_sorted_by_time(geometry, stream, noise)
 
 
-def _decode(u32, first, counts, starts, width, end, t, bits) -> np.ndarray:
-    """Write the firing slices' timestamps and polarity bits (0 or 1).
+def _decode(u32, first, counts, starts, width, end) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The firing slices' timestamps, polarity bits (0 or 1) and slices to draw again.
 
     ``first`` (its first uint32 in ``u32``), ``counts`` and ``starts`` are
-    per slice, and every slice is ``width`` wide; ``t`` and ``bits`` hold
-    the slices' events. Returns the indices of the slices to draw again:
-    one that the span's ``end`` cuts short, those where Lemire rejected a
-    timestamp draw, or all of them past 2^32 wide.
+    per slice, and every slice is ``width`` wide. The slices to draw again
+    are given by index: one that the span's ``end`` cuts short, those where
+    Lemire rejected a timestamp draw, or all of them past 2^32 wide, which
+    are not decoded.
     """
-    if width > _U32_SPAN:
-        return np.arange(len(counts))
-    redo = starts + width > end
     ends = np.cumsum(counts)
+    t = np.repeat(starts, counts)
+    if width > _U32_SPAN:
+        return t, np.empty(ends[-1], dtype=np.uint8), np.arange(len(counts))
+    redo = starts + width > end
     rank = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # index in its slice
-    t[:] = np.repeat(starts, counts)
     if width > 1:
         m = u32[np.repeat(first, counts) + rank].astype(np.uint64)
         m *= np.uint64(width)
@@ -329,8 +321,8 @@ def _decode(u32, first, counts, starts, width, end, t, bits) -> np.ndarray:
         t += m.view(np.int64)
         first = first + counts
     # Bit 7 of a byte is integers(0, 2, dtype=int8)'s draw from it.
-    np.right_shift(u32.view(np.uint8)[np.repeat(4 * first, counts) + rank], 7, out=bits)
-    return np.flatnonzero(redo)
+    bits = u32.view(np.uint8)[np.repeat(4 * first, counts) + rank] >> 7
+    return t, bits, np.flatnonzero(redo)
 
 
 def merge_noise_recording(signal: EventStream, noise: EventStream) -> EventStream:

@@ -163,6 +163,19 @@ class TestEncode:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_step_bounds_count_toward_the_code_limit(self, tmp_path, capsys):
+        # At 8x8 the 3.2e9 code bytes of 5e7 windows fit the limit; their
+        # 6.4e9 bytes of int64 step edges and bounds do not.
+        f = tmp_path / "late.bin"
+        stream = EventStream.from_events(SensorGeometry(8, 8), [(10**12, 1, 1, 1)])
+        write_events(stream, f, EventFileFormat.BINARY_V1)
+        out_dir = tmp_path / "d"
+        assert run(["encode", "--in", str(f), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evtbr: error: 50000001 windows")
+        assert "bytes of frame codes and step bounds" in err
+        assert not out_dir.exists()
+
     def test_bad_micro_steps_is_data_error(self, tmp_path, capsys):
         stream_file = synth_file(tmp_path)
         argv = [

@@ -399,10 +399,11 @@ class TestEncodeStream:
 
     @pytest.mark.parametrize("n_bits,itemsize", [(8, 1), (9, 2)])
     def test_code_limit_counts_code_bytes(self, monkeypatch, n_bits, itemsize):
+        # Each window holds its codes plus an int64 edge and bound per step.
         monkeypatch.setattr(encoder, "MAX_FRAME_BYTES", 4096)
         cfg = EncoderConfig(SlicingConfig(100, n_bits))
         stream = EventStream.empty(G)
-        n_windows = 4096 // (G.pixel_count * itemsize)
+        n_windows = 4096 // (G.pixel_count * itemsize + 16 * n_bits)
         assert len(encode_stream(stream, cfg, n_windows=n_windows)) == n_windows
         with pytest.raises(ValueError, match=f"{n_windows + 1} windows .*no events"):
             encode_stream(stream, cfg, n_windows=n_windows + 1)
@@ -676,3 +677,18 @@ class TestEncodedFrame:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EncodedFrame(G, 8, np.zeros((3, 3), dtype=np.uint32))
+
+    @pytest.mark.parametrize("code", [-1, 2**32 + 3, 0.5])
+    def test_codes_the_uint32_cast_would_change_are_rejected(self, code):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            EncodedFrame(SensorGeometry(2, 1), 8, np.array([[code, 3]]))
+
+    @pytest.mark.parametrize("codes", [np.array([[True, False]]), np.array([[255.0, 3.0]])])
+    def test_bool_and_integral_float_codes_become_uint32(self, codes):
+        frame = EncodedFrame(SensorGeometry(2, 1), 8, codes)
+        assert frame.codes.dtype == np.uint32
+        assert frame.codes.tolist() == codes.astype(int).tolist()
+
+    def test_unsigned_codes_keep_their_dtype(self):
+        codes = np.array([[7, 3]], dtype=np.uint16)
+        assert EncodedFrame(SensorGeometry(2, 1), 8, codes).codes is codes

@@ -241,9 +241,9 @@ class TestInjectionOracle:
         decode = noise._decode
 
         def recording_decode(*args):
-            slices = decode(*args)
+            t, bits, slices = decode(*args)
             redone.extend(slices.tolist())
-            return slices
+            return t, bits, slices
 
         monkeypatch.setattr(noise, "_decode", recording_decode)
         dt = 2**31 + 1
