@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -239,16 +240,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError(f"frame-count mismatch: {len(a_files)} vs {len(b_files)}")
     if not a_files:
         raise ValueError("no frames to compare")
+    ds = [frame_distance(read_frame(fa), read_frame(fb)) for fa, fb in zip(a_files, b_files)]
     lines = ["index,l1_mean,hamming_bits,changed_pixels"]
-    l1s, hams, chgs = [], [], []
-    for i, (fa, fb) in enumerate(zip(a_files, b_files)):
-        d = frame_distance(read_frame(fa), read_frame(fb))
-        lines.append(f"{i},{d.l1_mean:.9g},{d.hamming_bits},{d.changed_pixels}")
-        l1s.append(d.l1_mean)
-        hams.append(d.hamming_bits)
-        chgs.append(d.changed_pixels)
-    n = len(l1s)
-    lines.append(f"mean,{sum(l1s) / n:.9g},{sum(hams) / n:.9g},{sum(chgs) / n:.9g}")
+    lines += [f"{i},{d.l1_mean:.9g},{d.hamming_bits},{d.changed_pixels}" for i, d in enumerate(ds)]
+    columns = zip(*map(astuple, ds))
+    lines.append("mean," + ",".join(f"{sum(c) / len(ds):.9g}" for c in columns))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

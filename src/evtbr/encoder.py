@@ -251,8 +251,7 @@ def _encode_windows(
             else:
                 grid.step(StepInput(weights[a:b], b - a, pixels[a:b]))
                 active = grid.fired
-            if len(active):
-                codes[active] |= bit(1 << (i // k))
+            codes[active] |= bit(1 << (i // k))
     return [
         EncodedFrame(geometry, n, row.reshape(geometry.shape), start + w * duration)
         for w, row in enumerate(block)

@@ -268,8 +268,7 @@ class NeuronGrid:
         # at full strength.
         if lazy:
             self._tick(1)
-            if len(candidates):
-                self._catch_up(candidates)
+            self._catch_up(candidates)
         else:
             self._sync()
             self._leak()
@@ -277,29 +276,24 @@ class NeuronGrid:
             v += inp.values.reshape(-1)
         elif not sparse:
             v += np.bincount(pixels, inp.values, v.size)
-        elif len(pixels):
+        else:
             self._add_sparse(v, pixels, inp.values)
         self.ac_count += inp.event_count
 
-        if cfg.variant is NeuronVariant.REC_LIF and len(prev):
+        if cfg.variant is NeuronVariant.REC_LIF:
             v[prev] += 1.0
             self.ac_count += len(prev)
 
-        frame = self._frame
         if sparse:
-            fired = candidates[v[candidates] >= cfg.v_th]
-            if len(fired) > 1:
-                fired = sorted_unique(fired)
-            frame[prev] = False
-            frame[fired] = True
+            fired = sorted_unique(candidates[v[candidates] >= cfg.v_th])
         else:
-            np.greater_equal(v, cfg.v_th, out=frame)
-            fired = np.flatnonzero(frame)
-        if len(fired):
-            if cfg.variant.hard_reset:
-                v[fired] = cfg.v_rest
-            else:
-                v[fired] -= cfg.v_th
+            fired = np.flatnonzero(v >= cfg.v_th)
+        if cfg.variant.hard_reset:
+            v[fired] = cfg.v_rest
+        else:
+            v[fired] -= cfg.v_th
+        self._frame[prev] = False
+        self._frame[fired] = True
         self.fired = fired
         self.spike_count += len(fired)
         return self._frame_view

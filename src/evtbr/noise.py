@@ -54,6 +54,7 @@ from enum import Enum
 
 import numpy as np
 
+from .encoder import MAX_FRAME_BYTES
 from .events import EventStream, SensorGeometry, merge_sorted_by_time
 
 # Keeps noise draws decorrelated from any other seeded subsystem that might
@@ -338,7 +339,8 @@ def merge_noise_recording(signal: EventStream, noise: EventStream) -> EventStrea
     over a signal spanning [0, 100] adds events at 0, 30, 30, 60, 60, 90
     and 90. A recording whose events all
     share one timestamp has no period to tile with: it is laid over the
-    signal once, at the signal's first event.
+    signal once, at the signal's first event. A tiling whose copies hold
+    over ``MAX_FRAME_BYTES`` of events, at 17 bytes each, raises ValueError.
     """
     if len(noise) == 0:
         raise ValueError("noise recording is empty")
@@ -354,17 +356,19 @@ def merge_noise_recording(signal: EventStream, noise: EventStream) -> EventStrea
     noise_t = noise.t.astype(np.int64) - int(noise.t[0])
     period = int(noise_t[-1])
     n_copies = (sig_end - sig_start) // period + 1 if period > 0 else 1
+    # 17 bytes an event: t int64, x and y int32, p int8.
+    if 17 * n_copies * len(noise) > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"{n_copies} copies of the recording over the signal's {sig_end - sig_start} us "
+            f"span would hold over {MAX_FRAME_BYTES} bytes of events"
+        )
 
     # Copy-major: every event of copy c, in recording order, before copy c+1.
+    # The mask compares before adding, so a copy's tail cannot wrap past int64.
     offsets = sig_start + period * np.arange(n_copies, dtype=np.int64)
-    shifted = (offsets[:, None] + noise_t).ravel()
-    keep = shifted <= sig_end
+    copy, event = np.nonzero(noise_t <= sig_end - offsets[:, None])
     overlay = EventStream(
-        geometry,
-        shifted[keep],
-        np.tile(nx, n_copies)[keep],
-        np.tile(ny, n_copies)[keep],
-        np.tile(noise.p, n_copies)[keep],
+        geometry, offsets[copy] + noise_t[event], nx[event], ny[event], noise.p[event]
     )
     return merge_sorted_by_time(geometry, signal, overlay)
 

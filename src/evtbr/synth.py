@@ -168,8 +168,6 @@ def generate(scene: SynthScene) -> EventStream:
         start = s * period
         end = min(start + period, scene.duration)
         xs, ys, ps = _edge_pixels(scene, s, start)
-        if xs.size == 0:
-            continue
         counts = rng.poisson(rate, size=xs.size)
         total = int(counts.sum())
         if total == 0:

@@ -332,6 +332,21 @@ class TestNoise:
         after = len(read_events(out, EventFileFormat.BINARY_V1))
         assert after > before
 
+    def test_noise_file_tiled_past_the_byte_limit_is_data_error(self, tmp_path, capsys):
+        src, recording = tmp_path / "far.bin", tmp_path / "bg.bin"
+        far = EventStream.from_events(SensorGeometry(8, 8), [(0, 1, 1, 1), (10**12, 2, 2, 1)])
+        write_events(far, src, EventFileFormat.BINARY_V1)
+        events = [(i // 6, 3, 3, 1) for i in range(12)]
+        write_events(EventStream.from_events(SensorGeometry(8, 8), events), recording,
+                     EventFileFormat.BINARY_V1)
+        out = tmp_path / "o.bin"
+        argv = ["noise", "--in", str(src), "--noise-file", str(recording), "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evtbr: error: 1000000000001 copies of the recording")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_csv_noise_file_requires_noise_size(self, tmp_path, capsys):
         src = synth_file(tmp_path)
         recording = tmp_path / "bg.csv"

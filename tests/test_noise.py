@@ -464,6 +464,32 @@ class TestMergeNoiseRecording:
         merged = merge_noise_recording(signal, noise)
         assert int(merged.t.max()) <= 7_000
 
+    def test_last_copy_tail_past_int64_is_dropped_not_wrapped(self):
+        # Copy 1 starts at 2**62; its last event would land at 2**63, one
+        # past INT64_MAX, and must be cut at the signal's end, not wrap to
+        # a negative timestamp.
+        signal = EventStream.from_events(G, [(0, 0, 0, 1), (3 * 2**61, 3, 3, 1)])
+        noise = EventStream.from_events(G, [(0, 1, 1, 1), (2**62, 2, 2, 1)])
+        merged = merge_noise_recording(signal, noise)
+        assert merged.t.tolist() == [0, 0, 2**62, 2**62, 3 * 2**61]
+        assert merged.x.tolist() == [0, 1, 2, 1, 3]
+
+    def test_tiling_past_the_byte_limit_rejected_before_allocating(self):
+        signal = EventStream.from_events(G, [(0, 0, 0, 1), (10**12, 3, 3, 1)])
+        noise = EventStream.from_events(G, [(i // 6, 1, 1, 1) for i in range(12)])
+        with pytest.raises(ValueError, match=r"1000000000001 copies .* 1000000000000 us span"):
+            merge_noise_recording(signal, noise)
+
+    def test_byte_limit_counts_17_bytes_per_tiled_event(self, monkeypatch):
+        signal = EventStream.from_events(G, [(0, 0, 0, 1), (100, 3, 3, 1)])
+        recording = EventStream.from_events(G, [(10, 1, 1, 1), (40, 2, 2, 1)])
+        # 4 copies of 2 events; the overlay keeps 7 of them.
+        monkeypatch.setattr(noise, "MAX_FRAME_BYTES", 17 * 4 * 2)
+        assert len(merge_noise_recording(signal, recording)) == 2 + 7
+        monkeypatch.setattr(noise, "MAX_FRAME_BYTES", 17 * 4 * 2 - 1)
+        with pytest.raises(ValueError, match="4 copies"):
+            merge_noise_recording(signal, recording)
+
     def test_empty_noise_rejected(self):
         signal = EventStream.from_events(G, [(0, 0, 0, 1)])
         with pytest.raises(ValueError):

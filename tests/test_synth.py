@@ -210,6 +210,14 @@ class TestBlinkingGrid:
         on_edge = (rx == 0) | (rx == cell - 1) | (ry == 0) | (ry == cell - 1)
         assert on_edge.all()
 
+    def test_slices_without_edge_pixels_emit_nothing(self):
+        # At 1x1 the one pixel is on a cell perimeter in even slices only,
+        # so every odd slice has no edge pixel to draw events for.
+        sc = scene(SceneKind.BLINKING_GRID, geometry=SensorGeometry(1, 1), duration=25_000)
+        stream = generate(sc)
+        assert len(stream) > 0
+        assert (stream.t // sc.emission_period % 2 == 0).all()
+
     def test_all_positive_polarity(self):
         stream = generate(scene(SceneKind.BLINKING_GRID))
         assert (stream.p == 1).all()
