@@ -24,6 +24,7 @@ from .encoder import EncoderConfig, EncoderMode, decode_tbr, encode_stream
 from .events import MAX_PIXELS, EventStream, SensorGeometry, SlicingConfig
 from .io import (
     EventFileFormat,
+    check_pgm_bits,
     read_events,
     read_frame,
     stream_info,
@@ -193,6 +194,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    check_pgm_bits(args.bits)
     cfg = _build_encoder_config(args)
     stream = _read_event_file(args.infile, args.size)
     frames = encode_stream(stream, cfg)

@@ -36,6 +36,8 @@ BINARY_MAGIC = b"EVS1"
 BINARY_HEADER_LEN = 12
 BINARY_RECORD_LEN = 13
 CSV_HEADER = "t_us,x,y,p"
+# PGM's maxval is below 2**16, so a frame holds codes of at most 16 slices.
+PGM_MAX_BITS = 16
 
 # On-disk record layout for binary-v1 (packed, 13 bytes).
 _FILE_RECORD_DTYPE = np.dtype(
@@ -231,12 +233,17 @@ def _read_binary(path: Path) -> EventStream:
     return EventStream(geometry, t, x, y, p)
 
 
+def check_pgm_bits(n_bits: int) -> None:
+    """Raise :class:`FrameFormatError` unless PGM holds codes of ``n_bits`` slices."""
+    if n_bits > PGM_MAX_BITS:
+        raise FrameFormatError(
+            f"PGM caps pixels at {PGM_MAX_BITS} bits; cannot persist a {n_bits}-bit frame"
+        )
+
+
 def write_frame(frame: EncodedFrame, path: str | Path) -> None:
     """Write an encoded frame as binary PGM with maxval 2**N - 1."""
-    if frame.n_bits > 16:
-        raise FrameFormatError(
-            f"PGM caps pixels at 16 bits; cannot persist a {frame.n_bits}-bit frame"
-        )
+    check_pgm_bits(frame.n_bits)
     maxval = frame.max_code
     codes = frame.codes
     # Codes whose dtype cannot exceed maxval (uint8 at N = 8) need no scan.
@@ -276,8 +283,8 @@ def read_frame(path: str | Path) -> EncodedFrame:
     if maxval < 1 or (maxval & (maxval + 1)) != 0:
         raise FrameFormatError(f"{path}: maxval {maxval} is not of the form 2^N - 1")
     n_bits = maxval.bit_length()
-    if n_bits > 16:
-        raise FrameFormatError(f"{path}: maxval {maxval} exceeds the PGM 16-bit limit")
+    if n_bits > PGM_MAX_BITS:
+        raise FrameFormatError(f"{path}: maxval {maxval} exceeds the PGM {PGM_MAX_BITS}-bit limit")
 
     pos += 1  # exactly one whitespace byte separates the header from the raster
     bytes_per_pixel = 1 if maxval <= 255 else 2
@@ -343,9 +350,11 @@ __all__ = [
     "write_events",
     "write_frame",
     "read_frame",
+    "check_pgm_bits",
     "stream_info",
     "BINARY_MAGIC",
     "BINARY_HEADER_LEN",
     "BINARY_RECORD_LEN",
     "CSV_HEADER",
+    "PGM_MAX_BITS",
 ]

@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from .encoder import MAX_FRAME_BYTES
 from .events import EventStream, SensorGeometry, merge_sorted_by_time
 from .noise import _keyed_generators
 
@@ -85,90 +86,71 @@ class SynthScene:
         return int(self.velocity * t / 1e6)
 
 
-def _bar_masks(scene: SynthScene, t: int) -> tuple[np.ndarray, np.ndarray]:
-    h, w = scene.geometry.shape
-    width = scene.size
-    offset = scene.offset_at(t)
-    lead = (offset + width - 1) % w
-    trail = offset % w
-    pos = np.zeros((h, w), dtype=bool)
-    neg = np.zeros((h, w), dtype=bool)
-    pos[:, lead] = True
-    neg[:, trail] = True
-    return pos, neg
-
-
-def _dot_masks(scene: SynthScene, t: int) -> tuple[np.ndarray, np.ndarray]:
-    h, w = scene.geometry.shape
-    side = scene.size
-    y0 = (h - side) // 2
-    x0 = ((w - side) // 2 + scene.offset_at(t)) % w
-    pos = np.zeros((h, w), dtype=bool)
-    neg = np.zeros((h, w), dtype=bool)
-    if scene.velocity == 0:
-        # Static dot: its whole outline blinks with positive events.
-        cols = (x0 + np.arange(side)) % w
-        pos[y0, cols] = True
-        pos[y0 + side - 1, cols] = True
-        pos[y0 : y0 + side, cols[0]] = True
-        pos[y0 : y0 + side, cols[-1]] = True
-    else:
-        pos[y0 : y0 + side, (x0 + side - 1) % w] = True
-        neg[y0 : y0 + side, x0] = True
-    return pos, neg
-
-
-def _grid_masks(scene: SynthScene, slice_index: int) -> tuple[np.ndarray, np.ndarray]:
-    h, w = scene.geometry.shape
-    cell = scene.size
-    xs = np.arange(w)
-    ys = np.arange(h)
-    # Perimeter of each cell, with border cells clipped to the sensor.
-    x_lo = (xs // cell) * cell
-    x_hi = np.minimum(x_lo + cell, w) - 1
-    y_lo = (ys // cell) * cell
-    y_hi = np.minimum(y_lo + cell, h) - 1
-    on_x_edge = (xs == x_lo) | (xs == x_hi)
-    on_y_edge = (ys == y_lo) | (ys == y_hi)
-    perimeter = on_y_edge[:, None] | on_x_edge[None, :]
-    parity = ((ys // cell)[:, None] + (xs // cell)[None, :] + slice_index) % 2 == 0
-    pos = perimeter & parity
-    return pos, np.zeros((h, w), dtype=bool)
-
-
 def _edge_pixels(scene: SynthScene, slice_index: int, t: int):
     """Edge pixel coordinates and polarities at slice start time t.
 
-    Positive-edge pixels come first, each group in row-major order, fixing
-    the RNG draw order.
+    Positive edges fill plane 0 of a (2, H, W) mask, negative ones plane 1; its
+    ``np.nonzero`` then lists positives first, row-major: the RNG draw order.
     """
-    if scene.kind is SceneKind.MOVING_BAR:
-        pos, neg = _bar_masks(scene, t)
-    elif scene.kind is SceneKind.MOVING_DOT:
-        pos, neg = _dot_masks(scene, t)
+    h, w = scene.geometry.shape
+    size = scene.size
+    y0, x0 = (h - size) // 2, (w - size) // 2  # the dot's corner at rest
+    edges = np.zeros((2, h, w), dtype=bool)
+    if scene.kind is SceneKind.BLINKING_GRID:
+        xs = np.arange(w)
+        ys = np.arange(h)
+        # Perimeter of each cell, with border cells clipped to the sensor.
+        x_lo = (xs // size) * size
+        x_hi = np.minimum(x_lo + size, w) - 1
+        y_lo = (ys // size) * size
+        y_hi = np.minimum(y_lo + size, h) - 1
+        on_x_edge = (xs == x_lo) | (xs == x_hi)
+        on_y_edge = (ys == y_lo) | (ys == y_hi)
+        perimeter = on_y_edge[:, None] | on_x_edge[None, :]
+        parity = ((ys // size)[:, None] + (xs // size)[None, :] + slice_index) % 2 == 0
+        edges[0] = perimeter & parity
+    elif scene.kind is SceneKind.MOVING_DOT and scene.velocity == 0:
+        # Static dot: its whole outline blinks with positive events.
+        outline = edges[0, y0 : y0 + size, x0 : x0 + size]
+        outline[[0, -1], :] = True
+        outline[:, [0, -1]] = True
     else:
-        pos, neg = _grid_masks(scene, slice_index)
-    py, px = np.nonzero(pos)
-    ny, nx = np.nonzero(neg)
-    xs = np.concatenate([px, nx])
-    ys = np.concatenate([py, ny])
-    ps = np.concatenate(
-        [np.ones(px.size, dtype=np.int8), np.full(nx.size, -1, dtype=np.int8)]
-    )
-    return xs, ys, ps
+        # A sweep over columns [x0, x0 + size) mod W: leading edge positive, trailing negative.
+        if scene.kind is SceneKind.MOVING_BAR:
+            rows, x0 = slice(None), scene.offset_at(t)
+        else:
+            rows, x0 = slice(y0, y0 + size), x0 + scene.offset_at(t)
+        edges[0, rows, (x0 + size - 1) % w] = True
+        edges[1, rows, x0 % w] = True
+    plane, ys, xs = np.nonzero(edges)
+    return xs, ys, (1 - 2 * plane).astype(np.int8)
 
 
 def generate(scene: SynthScene) -> EventStream:
-    """Generate the scene's event stream, sorted by timestamp."""
+    """Generate the scene's event stream, sorted by timestamp.
+
+    A scene whose events would hold over ``MAX_FRAME_BYTES``, at 17 bytes
+    each, raises ValueError at the slice that crosses it, before that
+    slice's timestamps are drawn.
+    """
     period = scene.emission_period
     rate = scene.events_per_edge_pixel_per_slice
     n_slices = math.ceil(scene.duration / period)
     parts = []
+    events = 0.0
     for s, rng in _keyed_generators(scene.seed, SYNTH_DOMAIN_TAG, range(n_slices)):
         start = s * period
         end = min(start + period, scene.duration)
         xs, ys, ps = _edge_pixels(scene, s, start)
         counts = rng.poisson(rate, size=xs.size)
+        # Summed as float64: the int64 sum of huge counts wraps negative.
+        events += counts.sum(dtype=np.float64)
+        # 17 bytes an event: t int64, x and y int32, p int8.
+        if 17 * events > MAX_FRAME_BYTES:
+            raise ValueError(
+                f"slice {s} brings the scene to {events:.6g} events, over the limit of "
+                f"{MAX_FRAME_BYTES} bytes at 17 bytes an event"
+            )
         total = int(counts.sum())
         if total == 0:
             continue

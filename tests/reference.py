@@ -2,7 +2,8 @@
 
 ``reference_encode`` encodes one event at a time; ``reference_inject_noise``
 draws each noise slice from its own ``default_rng`` with numpy's own
-``random`` and ``integers`` calls.
+``random`` and ``integers`` calls; ``reference_edge_pixels`` decides one
+pixel at a time whether a synthetic scene's edge covers it.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from evtbr.encoder import EncoderMode
 from evtbr.events import EventStream
 from evtbr.neurons import NeuronVariant
 from evtbr.noise import NOISE_DOMAIN_TAG, PolarityRule
+from evtbr.synth import SceneKind
 
 
 def reference_encode(rows, geometry, cfg, n_windows):
@@ -79,3 +81,51 @@ def reference_inject_noise(stream, cfg, span):
         for pixel, t, p in zip(fired.tolist(), times.tolist(), signs.tolist()):
             rows.append((t, 1, pixel, (t, pixel % width, pixel // width, p)))
     return EventStream.from_events(stream.geometry, [row[-1] for row in sorted(rows)])
+
+
+def reference_edge_pixels(scene, slice_index, t):
+    """(xs, ys, ps) lists of a scene's edge pixels at slice start time t.
+
+    Every pixel is visited in row-major order and tested against its kind's
+    definition: the bar's leading column (positive) and trailing column
+    (negative) over every row; the moving dot's leading and trailing columns
+    over its rows; the static dot's outline (positive); the clipped
+    perimeter of each grid cell of the slice's parity (positive). Positive
+    pixels come before negative ones.
+    """
+    h, w = scene.geometry.shape
+    size = scene.size
+    offset = scene.offset_at(t)
+    y0 = (h - size) // 2
+    x0 = (w - size) // 2
+
+    def bar(x, y):
+        return x == (offset + size - 1) % w, x == offset % w
+
+    def dot(x, y):
+        rows = y0 <= y < y0 + size
+        if scene.velocity == 0:
+            cols = x0 <= x < x0 + size
+            outline = y in (y0, y0 + size - 1) or x in (x0, x0 + size - 1)
+            return rows and cols and outline, False
+        left = (x0 + offset) % w
+        return rows and x == (left + size - 1) % w, rows and x == left
+
+    def grid(x, y):
+        cx, cy = x // size, y // size
+        x_lo, x_hi = cx * size, min(cx * size + size, w) - 1
+        y_lo, y_hi = cy * size, min(cy * size + size, h) - 1
+        perimeter = x in (x_lo, x_hi) or y in (y_lo, y_hi)
+        return perimeter and (cx + cy + slice_index) % 2 == 0, False
+
+    rule = {SceneKind.MOVING_BAR: bar, SceneKind.MOVING_DOT: dot, SceneKind.BLINKING_GRID: grid}
+    edges = {1: [], -1: []}
+    for y in range(h):
+        for x in range(w):
+            pos, neg = rule[scene.kind](x, y)
+            if pos:
+                edges[1].append((x, y))
+            if neg:
+                edges[-1].append((x, y))
+    pixels = edges[1] + edges[-1]
+    return [x for x, _ in pixels], [y for _, y in pixels], [1] * len(edges[1]) + [-1] * len(edges[-1])

@@ -81,6 +81,19 @@ class TestSynth:
         assert run(argv) == 1
         assert "error" in capsys.readouterr().err
 
+    # 1e13 asks numpy for PiB of timestamps; at 6e17 the int64 sum of one
+    # slice's counts wraps negative.
+    @pytest.mark.parametrize("rate", ["1e13", "6e17"])
+    def test_scene_past_the_byte_limit_is_data_error(self, tmp_path, capsys, rate):
+        out = tmp_path / "x.bin"
+        argv = ["synth", "--size", "8x8", "--rate", rate, "--duration-ms", "3", "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evtbr: error: slice 0 brings the scene to")
+        assert "over the limit of 4294967296 bytes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEncode:
     def test_frames_and_manifest(self, tmp_path, capsys):
@@ -174,6 +187,21 @@ class TestEncode:
         err = capsys.readouterr().err
         assert err.startswith("evtbr: error: 50000001 windows")
         assert "bytes of frame codes and step bounds" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("events", ["scene", "empty"])
+    def test_bits_past_the_pgm_cap_fail_before_reading(self, tmp_path, capsys, events):
+        if events == "scene":
+            infile = synth_file(tmp_path)
+        else:
+            infile = tmp_path / "empty.csv"
+            infile.write_bytes(b"t_us,x,y,p\n")
+        capsys.readouterr()
+        out_dir = tmp_path / "d"
+        argv = ["encode", "--in", str(infile), "--size", "32x32", "--bits", "17"]
+        assert run(argv + ["--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == "evtbr: error: PGM caps pixels at 16 bits; cannot persist a 17-bit frame\n"
         assert not out_dir.exists()
 
     def test_bad_micro_steps_is_data_error(self, tmp_path, capsys):

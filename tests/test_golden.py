@@ -8,7 +8,10 @@ at p >= 0.1, so one slice holds many noise events with the same
 timestamp, and signal events tie with noise events. Further cases cover
 seeds of 2^32 and more, which key their generators through numpy's own
 ``default_rng``, and a fixed-polarity injection over a span that starts
-after t = 0 and ends inside a slice.
+after t = 0 and ends inside a slice. Two scene cases pin edge sets that
+no noise case covers: a static dot's outline, and a one-pixel-wide bar,
+whose leading and trailing columns coincide, so that each of its pixels is
+drawn for once as a positive and once as a negative edge.
 """
 
 import hashlib
@@ -27,8 +30,11 @@ from evtbr.noise import (
 from evtbr.synth import SceneKind, SynthScene, generate
 
 
-def _scene(kind=SceneKind.MOVING_BAR, geometry=SensorGeometry(16, 12), duration=1_500, seed=5):
-    return SynthScene(kind, geometry, velocity=4_000.0, duration=duration, seed=seed, emission_period=500)
+def _scene(
+    kind=SceneKind.MOVING_BAR, geometry=SensorGeometry(16, 12), duration=1_500, seed=5, **kw
+):
+    kw.setdefault("velocity", 4_000.0)
+    return SynthScene(kind, geometry, duration=duration, seed=seed, emission_period=500, **kw)
 
 
 def _generate():
@@ -57,6 +63,14 @@ def _generate_large_seed():
     return generate(_scene(SceneKind.BLINKING_GRID, seed=2**32 + 1))
 
 
+def _generate_static_dot():
+    return generate(_scene(SceneKind.MOVING_DOT, velocity=0.0, object_size=5))
+
+
+def _generate_thin_bar():
+    return generate(_scene(object_size=1))
+
+
 def _noise_only():
     return noise_only_stream(
         NoiseConfig(probability=0.5, slice_duration=2, rng_seed=11), SensorGeometry(8, 6), (0, 200)
@@ -81,6 +95,16 @@ CASES = {
         _generate_large_seed,
         "d203eeb9f7cec374ae8b312ee73fa9c4307fb02c749a4748c16021658d8712fd",
         "f8264bfc93ece3ea3b14f1cac94dfd2822177e83abc89a753f76d710d5f65a87",
+    ),
+    "generate_static_dot": (
+        _generate_static_dot,
+        "5986ecbba6c576519e25d059391d956c6fd7f3e017dfdc9937c16bbbc8a2ae2e",
+        "40ad96612fb2b52d0a48831e0ed34ff2c6e271082ee63d3d837eb5bb4b594c2a",
+    ),
+    "generate_thin_bar": (
+        _generate_thin_bar,
+        "61c6a35e77a8dc3c1665d29c2ec69891e437ed299467b1857cd27fbd0bb944e9",
+        "3267def84f7bf7020821fa1d7bb5d82a1b06ac271927d53c99a2f48026e69f3e",
     ),
     "inject_cut_span": (
         _inject_cut_span,

@@ -1,0 +1,39 @@
+"""The mutation gate's table stays current with the code it mutates.
+
+The gate itself (``python tests/mutation_gate.py``) runs each mutant's
+tests and is not part of this suite; this only checks that every row still
+applies: its old text occurs exactly once and its tests exist.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+from mutants import MUTANTS, RETIRED
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_names_are_unique_and_not_retired():
+    names = [m.name for m in MUTANTS]
+    assert len(set(names)) == len(names)
+    assert not set(names) & set(RETIRED)
+    assert all(reason.strip() for reason in RETIRED.values())
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_old_text_occurs_once_and_tests_exist(mutant):
+    text = (ROOT / "src" / "evtbr" / mutant.file).read_text()
+    assert text.count(mutant.old) == 1
+    assert mutant.new != mutant.old
+    assert mutant.tests
+    for test in mutant.tests:
+        path, *names = test.split("[")[0].split("::")
+        assert (ROOT / path).is_file(), test
+        # Each class or function on the node id is defined in its file.
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse((ROOT / path).read_text()))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        assert set(names) <= defined, test

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from reference import reference_edge_pixels
 
+from evtbr import synth
 from evtbr.encoder import EncoderConfig, encode_stream
 from evtbr.events import SensorGeometry, SlicingConfig
 from evtbr.synth import SceneKind, SynthScene, generate
@@ -90,6 +94,23 @@ class TestGenerateBasics:
     def test_zero_rate_is_empty(self):
         stream = generate(scene(SceneKind.MOVING_BAR, events_per_edge_pixel_per_slice=0.0))
         assert len(stream) == 0
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_event_bytes_past_the_limit_are_rejected(self, monkeypatch, spare):
+        # The limit counts 17 bytes an event, summed over the slices so far.
+        sc = scene(SceneKind.MOVING_BAR, duration=10_000)
+        stream = generate(sc)
+        last = int(stream.t[-1]) // sc.emission_period
+        monkeypatch.setattr(synth, "MAX_FRAME_BYTES", 17 * len(stream) + spare)
+        if spare == 0:
+            assert generate(sc) == stream
+        else:
+            match = (
+                f"slice {last} brings the scene to {len(stream)} events, "
+                f"over the limit of {17 * len(stream) - 1} bytes"
+            )
+            with pytest.raises(ValueError, match=match):
+                generate(sc)
 
     def test_polarities_are_valid(self):
         stream = generate(scene(SceneKind.MOVING_BAR))
@@ -221,6 +242,42 @@ class TestBlinkingGrid:
     def test_all_positive_polarity(self):
         stream = generate(scene(SceneKind.BLINKING_GRID))
         assert (stream.p == 1).all()
+
+
+@st.composite
+def edge_cases(draw):
+    """One scene of every kind, each with a fitting size, and a run of slices."""
+    geometry = SensorGeometry(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    # 10^5 px/s wraps a 40-pixel sensor many times within one slice; 0 makes
+    # the dot static.
+    velocity = draw(st.just(0.0) | st.sampled_from([64.0, 333.3, 1e5]) | st.floats(0.0, 1e5))
+    period = draw(st.integers(1, 5_000))
+    limits = {
+        SceneKind.MOVING_BAR: geometry.width,
+        SceneKind.MOVING_DOT: min(geometry.shape),
+        SceneKind.BLINKING_GRID: max(geometry.shape) + 1,
+    }
+    scenes = [
+        SynthScene(
+            kind, geometry, velocity=velocity, emission_period=period,
+            object_size=draw(st.integers(1, limit)),
+        )
+        for kind, limit in limits.items()
+    ]
+    first = draw(st.integers(0, 10_000))
+    return scenes, range(first, first + draw(st.integers(1, 4)))
+
+
+class TestEdgePixels:
+    @given(edge_cases())
+    def test_matches_per_pixel_reference(self, case):
+        scenes, slices = case
+        for sc in scenes:
+            for s in slices:
+                t = s * sc.emission_period
+                xs, ys, ps = synth._edge_pixels(sc, s, t)
+                assert ps.dtype == np.int8
+                assert (xs.tolist(), ys.tolist(), ps.tolist()) == reference_edge_pixels(sc, s, t)
 
 
 class TestIdealTbr:
