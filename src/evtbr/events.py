@@ -275,15 +275,16 @@ def merge_sorted_by_time(geometry: SensorGeometry, *parts: EventStream) -> Event
     """Concatenate streams and stable-sort the events by t.
 
     The parts need not be sorted themselves: one stable argsort of the
-    concatenated ``t`` orders everything, and each column is gathered once.
-    Ties keep concatenation order, so callers control tie-breaking by
-    argument order.
+    concatenated ``t`` orders everything. The result is built one column
+    at a time, each concatenated and gathered once and then freed. Ties
+    keep concatenation order, so callers control tie-breaking by argument
+    order.
     """
     if not parts:
         return EventStream.empty(geometry)
-    columns = [np.concatenate([getattr(part, name) for part in parts]) for name, _ in _COLUMNS]
-    order = np.argsort(columns[0], kind="stable")
-    return EventStream(geometry, *(column[order] for column in columns))
+    order = np.argsort(np.concatenate([part.t for part in parts]), kind="stable")
+    columns = [np.concatenate([getattr(part, name) for part in parts])[order] for name, _ in _COLUMNS]
+    return EventStream(geometry, *columns)
 
 
 __all__ = [

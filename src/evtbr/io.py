@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncodedFrame, code_dtype
-from .events import EventStream, SensorGeometry, event_faults, sorted_unique
+from .events import EventStream, SensorGeometry, event_faults
 
 BINARY_MAGIC = b"EVS1"
 BINARY_HEADER_LEN = 12
@@ -43,6 +43,8 @@ PGM_MAX_BITS = 16
 _FILE_RECORD_DTYPE = np.dtype(
     [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")]
 )
+# Events that write_events and stream_info cast or index at a time.
+_IO_BLOCK = 1 << 16
 
 # What counts as a blank CSV line: ASCII whitespace only, as bytes.strip().
 _ASCII_WHITESPACE = " \t\r\x0b\x0c"
@@ -104,13 +106,16 @@ def write_events(stream: EventStream, path: str | Path, fmt: EventFileFormat) ->
     if len(stream) and int(stream.t.min()) < 0:
         raise EventFileError("negative timestamps are not representable in binary-v1")
 
-    records = np.empty(len(stream), dtype=_FILE_RECORD_DTYPE)
-    records["t"] = stream.t.astype(np.uint64)
-    records["x"] = stream.x.astype(np.uint16)
-    records["y"] = stream.y.astype(np.uint16)
-    records["p"] = stream.p
-    header = BINARY_MAGIC + struct.pack("<II", stream.geometry.width, stream.geometry.height)
-    path.write_bytes(header + records.tobytes())
+    # Records are cast and written a block at a time from their own buffer,
+    # so no whole-file copy of the stream is held.
+    with path.open("wb") as f:
+        f.write(BINARY_MAGIC + struct.pack("<II", stream.geometry.width, stream.geometry.height))
+        for lo in range(0, len(stream), _IO_BLOCK):
+            block = stream[lo : lo + _IO_BLOCK]
+            records = np.empty(len(block), dtype=_FILE_RECORD_DTYPE)
+            for name in "txyp":
+                records[name] = getattr(block, name)
+            f.write(records)
 
 
 def _check_events(path: Path, geometry: SensorGeometry, t, x, y, p, locate, unit: str) -> None:
@@ -330,14 +335,19 @@ def stream_info(stream: EventStream) -> StreamStats:
     duration = int(stream.t[-1]) - int(stream.t[0])
     rate = n / (duration / 1e6) if duration > 0 else 0.0
     pos = int(np.count_nonzero(stream.p > 0))
-    flat = stream.y.astype(np.int64) * stream.geometry.width + stream.x.astype(np.int64)
+    # One flag per pixel, set a block of events at a time: the flat index
+    # fits int32 (MAX_PIXELS), and no whole-stream index is built.
+    active = np.zeros(stream.geometry.pixel_count, dtype=bool)
+    for lo in range(0, n, _IO_BLOCK):
+        block = stream[lo : lo + _IO_BLOCK]
+        active[block.y * stream.geometry.width + block.x] = True
     return StreamStats(
         event_count=n,
         duration_us=duration,
         events_per_second=rate,
         positive_count=pos,
         negative_count=n - pos,
-        active_pixel_count=len(sorted_unique(flat)),
+        active_pixel_count=int(np.count_nonzero(active)),
     )
 
 

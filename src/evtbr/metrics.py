@@ -107,9 +107,9 @@ def robustness_curve(
     level-to-level differences are not masked by seed-to-seed variance).
     The loop is seed-major: each seed draws its noise slices once for all
     levels (:func:`inject_noise_levels`), and its noisy streams are encoded
-    one level at a time. Noisy and clean streams are encoded over the same
-    window count, derived from the scene duration, so frames pair up
-    one-to-one.
+    one level at a time, each dropped before the next is merged. Noisy and
+    clean streams are encoded over the same window count, derived from the
+    scene duration, so frames pair up one-to-one.
     """
     for p in noise_levels:
         if not 0.0 <= p <= 1.0:
@@ -134,6 +134,7 @@ def robustness_curve(
             trial_l1[j, i] = np.mean([d.l1_mean for d in dists])
             trial_ham[j, i] = np.mean([d.hamming_bits for d in dists])
             trial_chg[j, i] = np.mean([d.changed_pixels for d in dists])
+            del noisy, frames, dists  # before the next level is merged
     points = []
     for p, l1, ham, chg in zip(noise_levels, trial_l1, trial_ham, trial_chg):
         l1_std = float(np.std(l1, ddof=1)) if n_seeds > 1 else 0.0

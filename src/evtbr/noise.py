@@ -23,17 +23,29 @@ bytes come low first from each uint32. These are exactly the words the
 calls of ``default_rng`` would draw, and the golden hashes pin them. A
 slice where no pixel fires draws nothing after its uniforms. Each firing
 slice takes the words for k accepted timestamps and k polarities with one
-``random_raw`` call, and after the draw loop one pass per level decodes its
-firing slices at the full slice width. A slice where Lemire rejects one of
-those k timestamp draws (each is rejected with a chance below width / 2^32,
-5.3e-7 at the default 2500 us width), a slice whose width is over 2^32
-(where numpy draws 64-bit words), and a last slice that the span cuts short
-are drawn again through those ``integers`` calls.
+``random_raw`` call. The draw loop joins consecutive firing slices into
+blocks of whole slices, each closed once it holds ``_BLOCK_PIXELS`` firing
+pixels, so no per-slice array outlives its block. A slice where Lemire
+rejects one of those k timestamp draws (each is rejected with a chance
+below width / 2^32, 5.3e-7 at the default 2500 us width), a slice whose
+width is over 2^32 (where numpy draws 64-bit words), and a last slice that
+the span cuts short are drawn again through those ``integers`` calls.
 
 Several probabilities of one seed share one draw per (seed, slice), made at
 the highest of them. A lower level fires the pixels whose uniforms are below
 it, and its k' <= k timestamps and polarities read a prefix of those words:
-exactly the words its own draw would take.
+exactly the words its own draw would take. A block keeps each firing
+pixel's rank in place of its uniform: the number of levels at or below it,
+one byte for up to 255 levels.
+
+Each level is decoded and merged one block at a time, at the full slice
+width, into output columns sized from the level's event count. A block's
+noise joins the signal events from the previous block's end up to the end
+of its own last firing slice, and the signal after the last block is
+copied as it is. Blocks are disjoint in time and each merge is stable with
+the signal first, so the output is the one whole-stream merge of the signal
+and all the noise; a signal that is not time-sorted is sorted stably once,
+first.
 
 Slice s's generator is the one ``np.random.default_rng([seed, tag, s])``
 builds, but its state is derived without building it: ``SeedSequence``
@@ -51,11 +63,12 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .encoder import MAX_FRAME_BYTES
-from .events import EventStream, SensorGeometry, merge_sorted_by_time
+from .events import INT64_MAX, EventStream, SensorGeometry, merge_sorted_by_time
 
 # Keeps noise draws decorrelated from any other seeded subsystem that might
 # share the user-facing seed value.
@@ -105,6 +118,9 @@ _MASK128 = (1 << 128) - 1
 _KEY_BLOCK = 4096
 # numpy draws slice timestamps from uint32 words up to this width.
 _U32_SPAN = 1 << 32
+# Firing pixels (at the highest level) that close a block of slices; bounds
+# the per-slice draw arrays held and each level's decode and merge scratch.
+_BLOCK_PIXELS = 1 << 12
 
 
 def _seed_words(seed: int, tag: int, slices: np.ndarray) -> np.ndarray:
@@ -220,10 +236,9 @@ def inject_noise_levels(
     """Yield :func:`inject_noise` of the stream for each config, in order.
 
     The configs may differ only in probability. Each slice is drawn once, at
-    the highest level: the draw loop keeps each firing slice's pixels,
-    uniforms and raw words (see the module docstring), and one pass per
-    level decodes them. Each noisy stream is merged when it is asked for; a
-    level where no pixel fires yields ``stream`` itself.
+    the highest level, into blocks of whole slices (see the module
+    docstring), and each level is decoded and merged block by block when it
+    is asked for. A level where no pixel fires yields ``stream`` itself.
     """
     if not cfgs:
         return
@@ -239,51 +254,99 @@ def inject_noise_levels(
     if t0 >= t1:
         raise ValueError(f"span must be non-empty, got [{t0}, {t1})")
 
-    geometry, dt = stream.geometry, cfg.slice_duration
+    dt = cfg.slice_duration
     levels = [c.probability for c in cfgs]
     p_max = max(levels)
+    ranked = sorted(set(levels))
     n_slices = (t1 - t0 + dt - 1) // dt if p_max > 0.0 else 0
-    pixels, uniforms, slices, words = [], [], [], []
-    for s, rng in _keyed_generators(cfg.rng_seed, NOISE_DOMAIN_TAG, range(n_slices)):
-        u = rng.random(geometry.pixel_count)
-        fired = (u < p_max).nonzero()[0]
+    blocks = list(_draw_blocks(cfg.rng_seed, stream.geometry.pixel_count, dt, p_max, ranked, n_slices))
+    signal = stream
+    if blocks and (stream.t[1:] < stream.t[:-1]).any():
+        signal = merge_sorted_by_time(stream.geometry, stream)  # one stable sort
+    for p in levels:
+        # A drawn pixel's uniform is below p exactly when at most
+        # ranked.index(p) levels lie at or below it.
+        keeps = [block.rank <= ranked.index(p) for block in blocks]
+        fires = any(map(np.any, keeps))
+        yield _merge_level(signal, cfg, (t0, t1), blocks, keeps) if fires else stream
+
+
+class _Block(NamedTuple):
+    """Consecutive firing slices of the highest level's draw, joined."""
+
+    slices: np.ndarray  # ascending slice indices
+    offsets: np.ndarray  # each slice's first firing pixel
+    pixel: np.ndarray  # firing pixels, in slice then pixel order
+    rank: np.ndarray  # how many levels lie at or below each one's uniform
+    first: np.ndarray  # each slice's first uint32 in u32
+    u32: np.ndarray  # the slices' raw words
+
+
+def _draw_blocks(
+    seed: int, n_pix: int, dt: int, p: float, levels: list[float], n_slices: int
+) -> Iterator[_Block]:
+    """Draw slices 0..n_slices-1 at probability p, one block of firing slices at a time.
+
+    ``levels`` is ascending; each firing pixel keeps its rank among them in
+    place of its uniform.
+    """
+    pending, drawn = [], 0
+    for s, rng in _keyed_generators(seed, NOISE_DOMAIN_TAG, range(n_slices)):
+        u = rng.random(n_pix)
+        fired = (u < p).nonzero()[0]
         if fired.size:
             k = fired.size
             uint32s = k * (dt > 1) + -(-k // 4)
-            pixels.append(fired)
-            uniforms.append(u[fired])
-            slices.append(s)
-            words.append(rng.bit_generator.random_raw(-(-uint32s // 2)))
-    if not pixels:
-        yield from [stream] * len(levels)
-        return
+            pending.append((s, fired, u[fired], rng.bit_generator.random_raw(-(-uint32s // 2))))
+            drawn += k
+            if drawn >= _BLOCK_PIXELS:
+                yield _join(pending, levels)
+                pending, drawn = [], 0
+    if pending:
+        yield _join(pending, levels)
 
-    offsets = np.cumsum([0] + [f.size for f in pixels[:-1]])  # each slice's first pixel
-    pixel = np.concatenate(pixels, dtype=np.int32)
-    u = np.concatenate(uniforms)
+
+def _join(pending: list, levels: list[float]) -> _Block:
+    """One block from consecutive slices' (slice, pixels, uniforms, words)."""
+    slices, pixels, uniforms, words = zip(*pending)
     sizes = 2 * np.array([w.size for w in words], dtype=np.int64)
-    first = np.cumsum(sizes) - sizes  # each slice's first uint32
-    u32 = np.concatenate(words).astype("<u8", copy=False).view("<u4")
-    del pixels, uniforms, words  # frees the per-slice arrays before the decode
-    slices = np.array(slices, dtype=np.int64)
-    for level, p in enumerate(levels):
-        keep = u < p  # every kept uniform is below p_max, so this is the set u < p
-        counts = np.add.reduceat(keep, offsets, dtype=np.int64)
-        firing = counts.nonzero()[0]
+    rank = np.searchsorted(levels, np.concatenate(uniforms), side="right")
+    return _Block(
+        np.array(slices, dtype=np.int64),
+        np.cumsum([0] + [f.size for f in pixels[:-1]]),
+        np.concatenate(pixels, dtype=np.int32),
+        rank.astype(np.min_scalar_type(len(levels))),
+        np.cumsum(sizes) - sizes,
+        np.concatenate(words).astype("<u8", copy=False).view("<u4"),
+    )
+
+
+def _merge_level(signal, cfg, span, blocks, keeps) -> EventStream:
+    """One level's noisy stream: each block decoded, merged and written in place.
+
+    ``signal`` is time-sorted, and ``keeps`` masks each block's drawn pixels
+    that fire at this level.
+    """
+    geometry, dt, (t0, t1) = signal.geometry, cfg.slice_duration, span
+    n_events = len(signal) + sum(map(np.count_nonzero, keeps))
+    columns = [np.empty(n_events, getattr(signal, name).dtype) for name in "txyp"]
+    at = lo = 0  # output and signal events written so far
+    for block, keep in zip(blocks, keeps):
+        count = np.add.reduceat(keep, block.offsets, dtype=np.int64)  # per slice
+        firing = count.nonzero()[0]
         if not firing.size:
-            yield stream
             continue
-        fired = pixel[keep]
-        counts, keys = counts[firing], slices[firing].tolist()
-        starts = t0 + slices[firing] * dt
-        t, bits, redo = _decode(u32, first[firing], counts, starts, dt, t1)
-        ends = np.cumsum(counts)
+        fired = block.pixel[keep]
+        count, keys = count[firing], block.slices[firing]
+        starts = t0 + keys * dt
+        t, bits, redo = _decode(block.u32, block.first[firing], count, starts, dt, t1)
+        ends = np.cumsum(count)
         for i in redo.tolist():
-            events = slice(ends[i] - counts[i], ends[i])
-            rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, keys[i]])
+            events = slice(ends[i] - count[i], ends[i])
+            rng = np.random.default_rng([cfg.rng_seed, NOISE_DOMAIN_TAG, int(keys[i])])
             rng.random(geometry.pixel_count)
-            t[events] = rng.integers(starts[i], min(starts[i] + dt, t1), size=counts[i], dtype=np.int64)
-            bits[events] = rng.integers(0, 2, size=counts[i], dtype=np.int8)
+            t[events] = rng.integers(starts[i], min(starts[i] + dt, t1), size=count[i], dtype=np.int64)
+            bits[events] = rng.integers(0, 2, size=count[i], dtype=np.int8)
         pol = bits.view(np.int8)
         if cfg.polarity_rule is PolarityRule.FIXED_POSITIVE:
             pol.fill(1)
@@ -291,11 +354,18 @@ def inject_noise_levels(
             pol *= 2
             pol -= 1
         noise = EventStream(geometry, t, fired % geometry.width, fired // geometry.width, pol)
-        if level == len(levels) - 1:
-            del pixel, u, u32, keep, fired  # the last merge needs none of them
-        # Slices are disjoint in time and each is in pixel order, so one stable
-        # sort orders the noise by (t, pixel) and puts signal first on ties.
-        yield merge_sorted_by_time(geometry, stream, noise)
+        # The signal up to this block's last firing slice end joins it. Slices
+        # are in pixel order, so one stable sort orders the block by (t, pixel)
+        # and puts signal first on ties.
+        end = min(t0 + (int(keys[-1]) + 1) * dt, INT64_MAX)
+        hi = int(signal.t.searchsorted(end, side="left"))
+        merged = merge_sorted_by_time(geometry, signal[lo:hi], noise)
+        for column, name in zip(columns, "txyp"):
+            column[at : at + len(merged)] = getattr(merged, name)
+        at, lo = at + len(merged), hi
+    for column, name in zip(columns, "txyp"):
+        column[at:] = getattr(signal, name)[lo:]
+    return EventStream(geometry, *columns)
 
 
 def _decode(u32, first, counts, starts, width, end) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@
 Each row names a file under ``src/evtbr``, an exact text that occurs once in
 it, the text that replaces it, and the tests that must each fail on the
 mutated copy. A refactor that moves a mutant's code updates its row; a
-mutant whose code is gone moves to ``RETIRED`` with the reason.
+mutant whose code is gone moves to ``RETIRED`` with the reason, and one
+that can change no output is listed in ``EQUIVALENT`` with the reason.
 """
 
 from typing import NamedTuple
@@ -24,6 +25,7 @@ IO = "tests/test_io.py"
 SYNTH = "tests/test_synth.py"
 REFERENCE = ENCODER + "::TestReferenceEncoder::test_encode_stream_matches_per_event_reference"
 ORACLE = NOISE + "::TestInjectionOracle"
+BLOCKS = NOISE + "::TestBlockMerge::test_matches_one_merge_of_the_signal_and_all_the_noise"
 EDGES = SYNTH + "::TestEdgePixels::test_matches_per_pixel_reference"
 GOLDEN = "tests/test_golden.py::test_written_events_match_golden_hash"
 
@@ -227,8 +229,8 @@ MUTANTS = [
     Mutant(
         "shared draw: every level given the highest level's pixels",
         "noise.py",
-        "        keep = u < p  #",
-        "        keep = u < p_max  #",
+        "        keeps = [block.rank <= ranked.index(p) for",
+        "        keeps = [block.rank <= ranked.index(p_max) for",
         (
             ORACLE + "::test_every_level_of_one_draw_matches",
         ),
@@ -236,10 +238,69 @@ MUTANTS = [
     Mutant(
         "shared draw: <= in the per-level threshold",
         "noise.py",
-        "        keep = u < p  #",
-        "        keep = u <= p  #",
+        'np.concatenate(uniforms), side="right")',
+        'np.concatenate(uniforms), side="left")',
         (
             ORACLE + "::test_every_level_of_one_draw_matches",
+        ),
+    ),
+    # Block-wise decode and merge.
+    Mutant(
+        "block merge: skip the tail signal copy",
+        "noise.py",
+        '    for column, name in zip(columns, "txyp"):\n        column[at:] = getattr(signal, name)[lo:]\n',
+        "",
+        (
+            BLOCKS,
+            ORACLE + "::test_matches_per_slice_integers_draws",
+        ),
+    ),
+    Mutant(
+        "block merge: output offset of the next block off by one",
+        "noise.py",
+        "        at, lo = at + len(merged), hi\n",
+        "        at, lo = at + len(merged) - 1, hi\n",
+        (
+            BLOCKS,
+            ORACLE + "::test_many_slices_decoded_in_one_pass",
+        ),
+    ),
+    Mutant(
+        "block merge: no sort of an unsorted signal",
+        "noise.py",
+        "    if blocks and (stream.t[1:] < stream.t[:-1]).any():\n",
+        "    if False:\n",
+        (
+            BLOCKS,
+        ),
+    ),
+    Mutant(
+        "block draw: each slice's first pixel shifted by one",
+        "noise.py",
+        "        np.cumsum([0] + [f.size for f in pixels[:-1]]),\n",
+        "        np.cumsum([1] + [f.size for f in pixels[:-1]]),\n",
+        (
+            BLOCKS,
+            ORACLE + "::test_every_level_of_one_draw_matches",
+        ),
+    ),
+    # Binary writes and stream stats a block of events at a time.
+    Mutant(
+        "binary write: each block drops its last record",
+        "io.py",
+        "            block = stream[lo : lo + _IO_BLOCK]\n",
+        "            block = stream[lo : lo + _IO_BLOCK - 1]\n",
+        (
+            IO + "::TestBinaryWrite::test_records_written_a_block_at_a_time",
+        ),
+    ),
+    Mutant(
+        "stream info: pixels flagged from the first block only",
+        "io.py",
+        "        block = stream[lo : lo + _IO_BLOCK]\n        active[",
+        "        block = stream[0:_IO_BLOCK]\n        active[",
+        (
+            IO + "::TestStreamInfo::test_active_pixels_counted_across_blocks",
         ),
     ),
     # Written membranes and passed grids.
@@ -330,3 +391,12 @@ MUTANTS = [
 
 # Name -> why the mutant's code is gone.
 RETIRED: dict[str, str] = {}
+
+# Name -> why the mutant changes no output; the gate does not run these.
+EQUIVALENT: dict[str, str] = {
+    'block merge: find a block\'s end with searchsorted(end, side="right")': (
+        "a signal event at t == end sorts after the block's noise (all t < end) and before "
+        "any later block's noise (all t >= end) in either block, signal first on ties; "
+        "TestBlockMerge passed 5000 examples on it"
+    ),
+}

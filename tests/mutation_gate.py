@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from mutants import MUTANTS, RETIRED, Mutant
+from mutants import EQUIVALENT, MUTANTS, RETIRED, Mutant
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench")
@@ -91,6 +91,8 @@ def main() -> int:
         print(f"{'killed ' if killed else 'SURVIVED'} {mutant.name}: {detail}")
     for name, reason in RETIRED.items():
         print(f"retired  {name}: {reason}")
+    for name, reason in EQUIVALENT.items():
+        print(f"equivalent {name}: {reason}")
     survived = sum(not killed for killed, _ in results)
     print(
         f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed, {len(RETIRED)} retired, "

@@ -24,6 +24,7 @@ from evtbr.io import (
     write_events,
     write_frame,
 )
+from evtbr import io
 from evtbr.io import _parse_clean_csv, _read_csv_lines
 
 from helpers import random_stack, random_stream
@@ -387,6 +388,16 @@ class TestBinaryWrite:
         assert back == stream
         assert back.geometry == geometry
 
+    @pytest.mark.parametrize("n_events", [0, 1, 9, 10])
+    def test_records_written_a_block_at_a_time(self, monkeypatch, tmp_path, n_events):
+        # Three records a block: a whole number of blocks, a short last one.
+        monkeypatch.setattr(io, "_IO_BLOCK", 3)
+        stream = random_stream(SensorGeometry(300, 200), n_events=n_events, duration=5_000, seed=2)
+        f = tmp_path / "ev.bin"
+        write_events(stream, f, EventFileFormat.BINARY_V1)
+        records = b"".join(binary_record(*event) for event in stream)
+        assert f.read_bytes() == binary_header(300, 200) + records
+
     def test_coordinates_above_u16_rejected(self, tmp_path):
         geometry = SensorGeometry(70_000, 4)
         stream = EventStream.from_events(geometry, [(0, 66_000, 0, 1)])
@@ -553,6 +564,11 @@ class TestStreamInfo:
 
     def test_active_pixels_deduplicated(self):
         rows = [(0, 0, 0, 1), (1, 0, 0, 1), (2, 1, 0, 1), (3, 0, 1, -1)]
+        assert stream_info(EventStream.from_events(G, rows)).active_pixel_count == 3
+
+    def test_active_pixels_counted_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(io, "_IO_BLOCK", 2)
+        rows = [(0, 3, 3, 1), (1, 0, 0, 1), (2, 3, 3, -1), (3, 2, 0, 1), (4, 0, 0, 1)]
         assert stream_info(EventStream.from_events(G, rows)).active_pixel_count == 3
 
     def test_empty_stream(self):

@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from mutants import MUTANTS, RETIRED
+from mutants import EQUIVALENT, MUTANTS, RETIRED
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,8 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_names_are_unique_and_not_retired():
     names = [m.name for m in MUTANTS]
     assert len(set(names)) == len(names)
-    assert not set(names) & set(RETIRED)
-    assert all(reason.strip() for reason in RETIRED.values())
+    assert not set(names) & (set(RETIRED) | set(EQUIVALENT))
+    assert all(reason.strip() for reason in [*RETIRED.values(), *EQUIVALENT.values()])
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])

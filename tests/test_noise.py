@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from evtbr import noise
 from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
-from evtbr.events import EventStream, SensorGeometry, SlicingConfig
+from evtbr.events import EventStream, SensorGeometry, SlicingConfig, merge_sorted_by_time
 from evtbr.neurons import NeuronConfig
 from evtbr.noise import (
     _KEY_BLOCK,
@@ -269,12 +270,82 @@ class TestInjectionOracle:
             assert_same_columns(noisy, reference_inject_noise(stream, noise_cfg, span))
 
     def test_many_slices_decoded_in_one_pass(self):
-        # At 64x64 and p = 0.5 each slice draws about 1 300 words, so one
-        # pass decodes twelve slices from about 15 000 joined words.
+        # At 64x64 and p = 0.5 each slice draws about 1 300 words, so each
+        # block decodes two or three slices from 2 600 to 3 900 joined
+        # words, and five blocks cover the twelve slices.
         noise_cfg = cfg(0.5, seed=2)
         span = (0, 12 * 2_500)
         stream = EventStream.empty(SensorGeometry(64, 64))
         assert_matches_oracle(stream, noise_cfg, span)
+
+
+@st.composite
+def block_cases(draw):
+    """A signal around a span of many small blocks, 1-3 levels and a block size.
+
+    Signal events fall before the span, on slice edges (where blocks end),
+    inside it and after it, and half the signals are left unsorted. Levels
+    repeat and include 0.0, and the last slice may be cut.
+    """
+    geometry = SensorGeometry(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    dt = draw(st.sampled_from([1, 2, 3, 50]))
+    n_slices = draw(st.integers(1, 12))
+    t0 = dt * draw(st.integers(0, 2)) + draw(st.sampled_from([0, 1]))
+    t1 = t0 + n_slices * dt - draw(st.integers(0, dt - 1))
+    on_edge = st.integers(0, n_slices + 1).map(lambda k: t0 + k * dt)
+    event = st.tuples(
+        st.one_of(on_edge, st.integers(0, t1 + 2 * dt)),
+        st.integers(0, geometry.width - 1),
+        st.integers(0, geometry.height - 1),
+        st.sampled_from([1, -1]),
+    )
+    rows = draw(st.lists(event, max_size=12))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0])
+    seed, rule = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(list(PolarityRule)))
+    noise_cfg = cfg(0.0, dt=dt, seed=seed, rule=rule)
+    levels = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=1, max_size=3))
+    cfgs = [replace(noise_cfg, probability=p) for p in levels]
+    return EventStream.from_events(geometry, rows), cfgs, (t0, t1), draw(st.integers(1, 8))
+
+
+class TestBlockMerge:
+    """Each level, decoded and merged a block of slices at a time, is one whole-stream merge."""
+
+    @settings(max_examples=300)
+    @given(block_cases())
+    def test_matches_one_merge_of_the_signal_and_all_the_noise(self, case):
+        stream, cfgs, span, block_pixels = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(noise, "_BLOCK_PIXELS", block_pixels)
+            got = list(inject_noise_levels(stream, cfgs, span))
+        assert len(got) == len(cfgs)
+        for noisy, noise_cfg in zip(got, cfgs):
+            added = reference_inject_noise(EventStream.empty(stream.geometry), noise_cfg, span)
+            if len(added):
+                assert_same_columns(noisy, merge_sorted_by_time(stream.geometry, stream, added))
+            else:
+                assert noisy is stream
+
+    def test_each_level_holds_its_output_and_one_block(self):
+        # Traced once the draw is held: a level allocates its output columns
+        # (17 bytes an event) and one block's decode and merge scratch. A
+        # block holds at most _BLOCK_PIXELS noise events plus one slice's,
+        # and about a thousand signal events here.
+        geometry, dt = SensorGeometry(64, 64), 2_500
+        stream = random_stream(geometry, n_events=50_000, duration=200 * dt, seed=4)
+        levels = inject_noise_levels(stream, [cfg(0.2), cfg(0.5), cfg(0.3)], span=(0, 200 * dt))
+        next(levels)
+        block_events = noise._BLOCK_PIXELS + geometry.pixel_count + 2_000
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                noisy = next(levels)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 17 * len(noisy) + 128 * block_events
+            del noisy
 
 
 class TestInjectNoiseLevels:
