@@ -93,25 +93,23 @@ def read_events(
 
 def write_events(stream: EventStream, path: str | Path, fmt: EventFileFormat) -> None:
     """Write a stream so that reading it back reproduces it exactly."""
-    path = Path(path)
-    if fmt is EventFileFormat.TEXT_CSV:
-        lines = [CSV_HEADER]
-        columns = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
-        lines.extend(f"{t},{x},{y},{p}" for t, x, y, p in zip(*columns))
-        path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-        return
-
-    if len(stream) and (int(stream.x.max()) > _U16_MAX or int(stream.y.max()) > _U16_MAX):
+    csv = fmt is EventFileFormat.TEXT_CSV
+    if not csv and len(stream) and (int(stream.x.max()) > _U16_MAX or int(stream.y.max()) > _U16_MAX):
         raise EventFileError("event coordinates exceed binary-v1 u16 range")
-    if len(stream) and int(stream.t.min()) < 0:
+    if not csv and len(stream) and int(stream.t.min()) < 0:
         raise EventFileError("negative timestamps are not representable in binary-v1")
 
-    # Records are cast and written a block at a time from their own buffer,
-    # so no whole-file copy of the stream is held.
-    with path.open("wb") as f:
-        f.write(BINARY_MAGIC + struct.pack("<II", stream.geometry.width, stream.geometry.height))
+    # Events are formatted and written a block at a time, as CSV lines or
+    # as records cast into their own buffer, so no whole-file copy is held.
+    with Path(path).open("wb") as f:
+        g = stream.geometry
+        f.write(f"{CSV_HEADER}\n".encode("ascii") if csv else BINARY_MAGIC + struct.pack("<II", g.width, g.height))
         for lo in range(0, len(stream), _IO_BLOCK):
             block = stream[lo : lo + _IO_BLOCK]
+            if csv:
+                columns = (block.t.tolist(), block.x.tolist(), block.y.tolist(), block.p.tolist())
+                f.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*columns)).encode("ascii"))
+                continue
             records = np.empty(len(block), dtype=_FILE_RECORD_DTYPE)
             for name in "txyp":
                 records[name] = getattr(block, name)

@@ -41,7 +41,7 @@ one byte for up to 255 levels.
 Each level is decoded and merged one block at a time, at the full slice
 width, into output columns sized from the level's event count. A block's
 noise joins the signal events from the previous block's end up to the end
-of its own last firing slice, and the signal after the last block is
+of its own last drawn slice, and the signal after the last block is
 copied as it is. Blocks are disjoint in time and each merge is stable with
 the signal first, so the output is the one whole-stream merge of the signal
 and all the noise; a signal that is not time-sorted is sorted stably once,
@@ -333,13 +333,9 @@ def _merge_level(signal, cfg, span, blocks, keeps) -> EventStream:
     at = lo = 0  # output and signal events written so far
     for block, keep in zip(blocks, keeps):
         count = np.add.reduceat(keep, block.offsets, dtype=np.int64)  # per slice
-        firing = count.nonzero()[0]
-        if not firing.size:
-            continue
-        fired = block.pixel[keep]
-        count, keys = count[firing], block.slices[firing]
+        fired, keys = block.pixel[keep], block.slices
         starts = t0 + keys * dt
-        t, bits, redo = _decode(block.u32, block.first[firing], count, starts, dt, t1)
+        t, bits, redo = _decode(block.u32, block.first, count, starts, dt, t1)
         ends = np.cumsum(count)
         for i in redo.tolist():
             events = slice(ends[i] - count[i], ends[i])
@@ -354,7 +350,7 @@ def _merge_level(signal, cfg, span, blocks, keeps) -> EventStream:
             pol *= 2
             pol -= 1
         noise = EventStream(geometry, t, fired % geometry.width, fired // geometry.width, pol)
-        # The signal up to this block's last firing slice end joins it. Slices
+        # The signal up to this block's last drawn slice end joins it. Slices
         # are in pixel order, so one stable sort orders the block by (t, pixel)
         # and puts signal first on ties.
         end = min(t0 + (int(keys[-1]) + 1) * dt, INT64_MAX)
@@ -369,13 +365,13 @@ def _merge_level(signal, cfg, span, blocks, keeps) -> EventStream:
 
 
 def _decode(u32, first, counts, starts, width, end) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The firing slices' timestamps, polarity bits (0 or 1) and slices to draw again.
+    """The slices' timestamps, polarity bits (0 or 1) and slices to draw again.
 
-    ``first`` (its first uint32 in ``u32``), ``counts`` and ``starts`` are
-    per slice, and every slice is ``width`` wide. The slices to draw again
-    are given by index: one that the span's ``end`` cuts short, those where
-    Lemire rejected a timestamp draw, or all of them past 2^32 wide, which
-    are not decoded.
+    ``first`` (its first uint32 in ``u32``), ``counts`` (which may be 0)
+    and ``starts`` are per slice, and every slice is ``width`` wide. The
+    slices to draw again are given by index: one that the span's ``end``
+    cuts short, those where Lemire rejected a timestamp draw, or all of
+    them past 2^32 wide, which are not decoded.
     """
     ends = np.cumsum(counts)
     t = np.repeat(starts, counts)

@@ -23,6 +23,8 @@ ENCODER = "tests/test_encoder.py"
 NOISE = "tests/test_noise.py"
 IO = "tests/test_io.py"
 SYNTH = "tests/test_synth.py"
+CLI = "tests/test_cli.py"
+CURVE = "tests/test_metrics.py::TestRobustnessCurve"
 REFERENCE = ENCODER + "::TestReferenceEncoder::test_encode_stream_matches_per_event_reference"
 ORACLE = NOISE + "::TestInjectionOracle"
 BLOCKS = NOISE + "::TestBlockMerge::test_matches_one_merge_of_the_signal_and_all_the_noise"
@@ -303,6 +305,268 @@ MUTANTS = [
             IO + "::TestStreamInfo::test_active_pixels_counted_across_blocks",
         ),
     ),
+    # CSV writes a block of events at a time, through the binary-v1 loop.
+    Mutant(
+        "CSV write: every block sliced from the first",
+        "io.py",
+        "            block = stream[lo : lo + _IO_BLOCK]\n",
+        "            block = stream[0:_IO_BLOCK]\n",
+        (
+            IO + "::TestCsvWrite::test_lines_written_a_block_at_a_time[9]",
+            IO + "::TestCsvWrite::test_lines_written_a_block_at_a_time[10]",
+        ),
+    ),
+    Mutant(
+        "CSV write: the header written once per block",
+        "io.py",
+        "        f.write(f\"{CSV_HEADER}\\n\".encode(\"ascii\") if csv else BINARY_MAGIC + struct.pack(\"<II\", g.width, g.height))\n"
+        "        for lo in range(0, len(stream), _IO_BLOCK):\n",
+        "        for lo in range(0, len(stream), _IO_BLOCK):\n"
+        "            f.write(f\"{CSV_HEADER}\\n\".encode(\"ascii\") if csv else BINARY_MAGIC + struct.pack(\"<II\", g.width, g.height))\n",
+        (
+            IO + "::TestCsvWrite::test_lines_written_a_block_at_a_time",
+            IO + "::TestCsvWrite::test_empty_stream",
+        ),
+    ),
+    Mutant(
+        "CSV write: each block formats the whole stream",
+        "io.py",
+        "block.t.tolist(), block.x.tolist(), block.y.tolist(), block.p.tolist()",
+        "stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist()",
+        (
+            IO + "::TestCsvWrite::test_lines_written_a_block_at_a_time[9]",
+            IO + "::TestCsvWrite::test_peak_memory_is_bounded_by_blocks_not_by_the_file",
+        ),
+    ),
+    # Branches that no test pinned: each forced to the value that survived.
+    Mutant(
+        "binary write: negative timestamps let through",
+        "io.py",
+        "    if not csv and len(stream) and int(stream.t.min()) < 0:\n",
+        "    if False:\n",
+        (
+            IO + "::TestBinaryWrite::test_negative_timestamp_rejected",
+        ),
+    ),
+    Mutant(
+        "neuron config: v_th <= 0 let through",
+        "neurons.py",
+        "        if self.v_th <= 0.0:\n",
+        "        if False:\n",
+        (
+            NEURONS + "::TestNeuronConfig::test_zero_vth_rejected_with_rest_below_it",
+        ),
+    ),
+    Mutant(
+        "neuron config: tau_m <= 1 let through",
+        "neurons.py",
+        "            if tau_m <= 1.0:\n",
+        "            if False:\n",
+        (
+            NEURONS + "::TestNeuronConfig::test_zero_tau_is_a_value_error",
+        ),
+    ),
+    Mutant(
+        "step input: no shape check on a dense input",
+        "neurons.py",
+        "        if pixels is None and inp.values.shape != self.geometry.shape:\n",
+        "        if False:\n",
+        (
+            NEURONS + "::TestStepInput::test_dense_input_of_the_transposed_shape_rejected",
+        ),
+    ),
+    Mutant(
+        "lazy leak: reset leaves the neurons' last steps",
+        "neurons.py",
+        "        if self._last is not None:\n",
+        "        if False:\n",
+        (
+            NEURONS + "::TestLazyLeak::test_write_after_reset_fires_as_the_dense_chain",
+        ),
+    ),
+    Mutant(
+        "scene: emission_period <= 0 let through",
+        "synth.py",
+        "        if self.emission_period <= 0:\n",
+        "        if False:\n",
+        (
+            SYNTH + "::TestSceneValidation::test_out_of_range_field_rejected[zero-period]",
+            SYNTH + "::TestSceneValidation::test_out_of_range_field_rejected[negative-period]",
+        ),
+    ),
+    Mutant(
+        "scene: negative seed let through",
+        "synth.py",
+        "        if self.seed < 0:\n",
+        "        if False:\n",
+        (
+            SYNTH + "::TestSceneValidation::test_out_of_range_field_rejected[negative-seed]",
+        ),
+    ),
+    Mutant(
+        "scene: object_size 0 let through",
+        "synth.py",
+        "        if self.object_size is not None and self.object_size < 1:\n",
+        "        if False:\n",
+        (
+            SYNTH + "::TestSceneValidation::test_out_of_range_field_rejected[zero-size]",
+        ),
+    ),
+    Mutant(
+        "curve: levels outside [0, 1] checked after the scene",
+        "metrics.py",
+        "        if not 0.0 <= p <= 1.0:\n",
+        "        if False:\n",
+        (
+            CURVE + "::test_bad_arguments_rejected_before_the_scene_is_generated[level-above-one]",
+            CURVE + "::test_bad_arguments_rejected_before_the_scene_is_generated[negative-level]",
+        ),
+    ),
+    Mutant(
+        "curve: no seeds let through",
+        "metrics.py",
+        "    if n_seeds < 1:\n",
+        "    if False:\n",
+        (
+            CURVE + "::test_bad_arguments_rejected_before_the_scene_is_generated[no-seeds]",
+        ),
+    ),
+    Mutant(
+        "curve: a zero-length scene checked after it is generated",
+        "metrics.py",
+        "    if n_windows == 0:\n",
+        "    if False:\n",
+        (
+            CURVE + "::test_bad_arguments_rejected_before_the_scene_is_generated[zero-length-scene]",
+        ),
+    ),
+    Mutant(
+        "curve: l1_std always 0",
+        "metrics.py",
+        "if n_seeds > 1 else 0.0",
+        "if False else 0.0",
+        (
+            CURVE + "::test_std_is_the_sample_std_over_seeds",
+        ),
+    ),
+    Mutant(
+        "cli: an empty --p-list let through",
+        "cli.py",
+        "    if not items:\n",
+        "    if False:\n",
+        (
+            CLI + "::TestCurve::test_p_list_without_levels_is_usage_error",
+        ),
+    ),
+    Mutant(
+        "cli: default beta set next to --tau-m",
+        "cli.py",
+        "        if beta is None and args.tau_m is None:\n",
+        "        if True:\n",
+        (
+            CLI + "::TestEncode::test_tau_m_alone_sets_the_decay",
+        ),
+    ),
+    Mutant(
+        "cli: noise injected into an empty input",
+        "cli.py",
+        "out = signal if len(signal) == 0 else inject_noise(signal, cfg)",
+        "out = signal if False else inject_noise(signal, cfg)",
+        (
+            CLI + "::TestNoise::test_empty_input_passes_through",
+        ),
+    ),
+    Mutant(
+        "cli: an empty manifest written as one LF",
+        "cli.py",
+        'if manifest else b""',
+        'if True else b""',
+        (
+            CLI + "::TestEncode::test_empty_input_writes_an_empty_manifest",
+        ),
+    ),
+    Mutant(
+        "cli: a zero-width decode region let through",
+        "cli.py",
+        "    if args.w < 1 or args.h < 1:\n",
+        "    if False:\n",
+        (
+            CLI + "::TestDecode::test_degenerate_or_outside_region_is_data_error[zero-width]",
+        ),
+    ),
+    Mutant(
+        "cli: a decode row outside the frame let through",
+        "cli.py",
+        "    if not (0 <= args.y and args.y + args.h <= g.height):\n",
+        "    if False:\n",
+        (
+            CLI + "::TestDecode::test_degenerate_or_outside_region_is_data_error[y-past-height]",
+            CLI + "::TestDecode::test_degenerate_or_outside_region_is_data_error[negative-y]",
+        ),
+    ),
+    Mutant(
+        "cli: two empty frame directories compared",
+        "cli.py",
+        "    if not a_files:\n",
+        "    if False:\n",
+        (
+            CLI + "::TestCompare::test_two_empty_directories_are_data_error",
+        ),
+    ),
+    Mutant(
+        "cli: neuron flags used in plain mode",
+        "cli.py",
+        "    if mode is EncoderMode.SPIKE_TBR:\n",
+        "    if True:\n",
+        (
+            CLI + "::TestEncode::test_neuron_flags_are_ignored_in_plain_mode",
+        ),
+    ),
+    Mutant(
+        "cli: --help exits 2",
+        "cli.py",
+        "exc.code if isinstance(exc.code, int) else 2",
+        "exc.code if False else 2",
+        (
+            CLI + "::TestUsage::test_help_exits_zero",
+        ),
+    ),
+    Mutant(
+        "encoder: micro steps in plain mode",
+        "encoder.py",
+        "    k = 1 if grid is None else cfg.micro_steps_per_slice\n",
+        "    k = 1 if False else cfg.micro_steps_per_slice\n",
+        (
+            ENCODER + "::TestEncoderConfig::test_plain_mode_encodes_as_one_step_per_slice",
+        ),
+    ),
+    Mutant(
+        "equality: a frame compared field by field with any object",
+        "encoder.py",
+        "        if not isinstance(other, EncodedFrame):\n",
+        "        if False:\n",
+        (
+            ENCODER + "::TestEncodedFrame::test_unequal_to_other_types",
+        ),
+    ),
+    Mutant(
+        "equality: a stream compared field by field with any object",
+        "events.py",
+        "        if not isinstance(other, EventStream):\n",
+        "        if False:\n",
+        (
+            "tests/test_events.py::TestEventStream::test_unequal_to_other_types",
+        ),
+    ),
+    Mutant(
+        "equality: a slice stack compared field by field with any object",
+        "events.py",
+        "        if not isinstance(other, BinarySliceStack):\n",
+        "        if False:\n",
+        (
+            "tests/test_events.py::TestBinarySliceStack::test_unequal_to_other_types",
+        ),
+    ),
     # Written membranes and passed grids.
     Mutant(
         "written membranes: no over-threshold candidates after a read of v",
@@ -392,8 +656,63 @@ MUTANTS = [
 # Name -> why the mutant's code is gone.
 RETIRED: dict[str, str] = {}
 
-# Name -> why the mutant changes no output; the gate does not run these.
+# Name -> why the mutant changes no output; neither the gate nor
+# mutation_survey.py (under the names it prints) runs these. The survey's
+# entries force a branch that only saves work.
 EQUIVALENT: dict[str, str] = {
+    "cli.py: `isinstance(exc.code, int)` forced True": (
+        "argparse exits only with an integer status: 0 after --help, 2 on a usage error"
+    ),
+    "events.py: `self.slices.dtype != np.bool_` forced True": (
+        "astype(bool) of a bool stack is an equal copy"
+    ),
+    "events.py: `hi > lo` forced True": (
+        "a window without events gives empty index arrays, and the assignment writes nothing"
+    ),
+    "io.py: `table is None` forced True": (
+        "every CSV body then takes the line loop, which parses a clean body to the same "
+        "columns (TestCsvFastPath::test_matches_the_line_loop)"
+    ),
+    "neurons.py: `self._shift is not None` forced True": (
+        "a grid that never leaks lazily then holds a _last array that only reset writes; "
+        "its clock never moves, so no step reads it"
+    ),
+    "neurons.py: `not sparse` forced False": (
+        "a non-sparse step then scatter-adds its events into zeroed scratch in event order, "
+        "the sums bincount builds, so v matches up to the sign of an untouched zero"
+    ),
+    "neurons.py: `sparse` forced False": (
+        "every step then tests all neurons; one outside a sparse step's candidates was below "
+        "v_th at its last update and the leak never raises it, so the same neurons fire"
+    ),
+    "neurons.py: `cfg.v_rest == 0.0` forced False": (
+        "the general leak subtracts and adds v_rest = 0.0, which only turns -0.0 into +0.0; "
+        "no spike, code or frame depends on the sign of a zero"
+    ),
+    "neurons.py: `m == 0` forced False": (
+        "at beta = 1, ldexp by 0 and the subnormal chain's multiplies by 1 leave v as it is"
+    ),
+    "noise.py: `max(seed, tag, block[-1]) > _MASK32` forced True": (
+        "every slice then builds default_rng([seed, tag, s]), the generator the hashed seed "
+        "words rebuild, so the draws are the same"
+    ),
+    "noise.py: `drawn >= _BLOCK_PIXELS` forced True": (
+        "each firing slice then closes its own block; blocks still partition time, and "
+        "TestBlockMerge checks any block size against one whole-stream merge"
+    ),
+    "noise.py: `width > _U32_SPAN` forced False": (
+        "(2^32 - width) % width is 2^32 for every width over 2^32, so the Lemire check rejects "
+        "every draw and each such slice is drawn again anyway "
+        "(TestInjectionOracle::test_slices_wider_than_2_to_the_32_us passes on it)"
+    ),
+    "noise.py: `width > _U32_SPAN` forced True": (
+        "every slice is then drawn again through its own integers calls, the draws that the "
+        "decode reproduces"
+    ),
+    "synth.py: `total == 0` forced False": (
+        "a slice without events then makes size-0 draws, which take no generator state, and "
+        "adds an empty part to the merge"
+    ),
     'block merge: find a block\'s end with searchsorted(end, side="right")': (
         "a signal event at t == end sorts after the block's noise (all t < end) and before "
         "any later block's noise (all t >= end) in either block, signal first on ties; "

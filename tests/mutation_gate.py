@@ -39,26 +39,36 @@ def run_mutant(mutant: Mutant) -> tuple[bool, str]:
     return killed, f"{detail} ({time.perf_counter() - start:.1f} s)"
 
 
+def copy_repository(dest: Path) -> None:
+    """Copy what the tests need (:data:`COPIED` and ``pyproject.toml``) into ``dest``."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def run_pytest(copy: Path, *args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """pytest on a copy, importing its ``src/``, with a fixed hypothesis seed and no cache."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--hypothesis-seed=0", "-p", "no:cacheprovider", *args],
+        cwd=copy,
+        env={**os.environ, "PYTHONPATH": str(copy / "src")},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def _run(mutant: Mutant) -> tuple[bool, str]:
     with tempfile.TemporaryDirectory(prefix="evtbr-mutant-") as tmp:
         copy = Path(tmp)
-        for name in COPIED:
-            ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        copy_repository(copy)
         path = copy / "src" / "evtbr" / mutant.file
         text = path.read_text()
         if text.count(mutant.old) != 1:
             return False, f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
         path.write_text(text.replace(mutant.old, mutant.new))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rA", "--hypothesis-seed=0",
-             "-p", "no:cacheprovider", *mutant.tests],
-            cwd=copy,
-            env={**os.environ, "PYTHONPATH": str(copy / "src")},
-            capture_output=True,
-            text=True,
-        )
+        proc = run_pytest(copy, "-rA", *mutant.tests)
     if proc.returncode not in (0, 1):
         return False, f"pytest exited {proc.returncode}: {proc.stdout[-500:]}{proc.stderr[-500:]}"
     # -rA reports one "OUTCOME node-id ..." line per test.

@@ -127,6 +127,24 @@ class TestEncode:
         for name in ("00000.pgm", "00001.pgm", "00002.pgm"):
             assert (plain_dir / name).read_bytes() == (spike_dir / name).read_bytes()
 
+    def test_empty_input_writes_an_empty_manifest(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t_us,x,y,p\n")
+        d = tmp_path / "frames"
+        assert run(["encode", "--in", str(empty), "--size", "8x8", "--out-dir", str(d)]) == 0
+        assert capsys.readouterr().out == f"wrote 0 frames to {d}\n"
+        assert (d / "manifest.jsonl").read_bytes() == b""
+
+    def test_tau_m_alone_sets_the_decay(self, tmp_path, capsys):
+        stream_file = synth_file(tmp_path)
+        tau, beta = tmp_path / "tau", tmp_path / "beta"
+        spike = ["encode", "--in", str(stream_file), "--mode", "spike-tbr"]
+        assert run(spike + ["--tau-m", "4", "--out-dir", str(tau)]) == 0
+        assert run(spike + ["--beta", "0.75", "--out-dir", str(beta)]) == 0
+        capsys.readouterr()
+        for name in ("00000.pgm", "00001.pgm", "00002.pgm", "manifest.jsonl"):
+            assert (tau / name).read_bytes() == (beta / name).read_bytes()
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         stream_file = synth_file(tmp_path)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -225,6 +243,18 @@ class TestEncode:
         for name in names:
             assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "k3" / name).read_bytes()
 
+    def test_neuron_flags_are_ignored_in_plain_mode(self, tmp_path, capsys):
+        # Neither beta 2 nor v_th 0 makes a valid neuron; plain mode builds none.
+        stream_file = synth_file(tmp_path)
+        base = ["encode", "--in", str(stream_file), "--out-dir"]
+        assert run(base + [str(tmp_path / "plain")]) == 0
+        assert run(base + [str(tmp_path / "flags"), "--beta", "2", "--vth", "0"]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert sorted(p.name for p in (tmp_path / "flags").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
     @pytest.mark.parametrize("variant", list(NeuronVariant))
     def test_neuron_flag_selects_variant(self, tmp_path, capsys, variant):
         stream_file = synth_file(tmp_path)
@@ -282,6 +312,23 @@ class TestDecode:
         assert run(["decode", "--in", str(frame), "--x", "2", "--y", "0"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "region,message",
+        [
+            pytest.param(["--w", "0"], "region must be at least 1x1", id="zero-width"),
+            pytest.param(["--y", "1"], "y range [1, 2) outside height 1", id="y-past-height"),
+            pytest.param(["--y", "-1"], "y range [-1, 0) outside height 1", id="negative-y"),
+        ],
+    )
+    def test_degenerate_or_outside_region_is_data_error(self, tmp_path, capsys, region, message):
+        frame = tmp_path / "f.pgm"
+        frame.write_bytes(b"P5\n2 1\n255\n\x05\x00")
+        argv = ["decode", "--in", str(frame), "--x", "0", "--y", "0"] + region
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestCompare:
     def test_directory_against_itself_is_zero(self, tmp_path, capsys):
@@ -306,6 +353,15 @@ class TestCompare:
         assert run(["compare", "--a", str(full), "--b", str(partial)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_two_empty_directories_are_data_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        assert run(["compare", "--a", str(a), "--b", str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no frames to compare" in captured.err
+
     def test_rows_follow_frame_numbers_past_five_digits(self, tmp_path, capsys):
         # 100000.pgm sorts between 10000.pgm and 10001.pgm as a string.
         a, b = tmp_path / "a", tmp_path / "b"
@@ -326,6 +382,18 @@ class TestNoise:
         assert run(["noise", "--in", str(src), "--p", "0.0", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("name", ["noisy.csv", "noisy.bin"])
+    def test_empty_input_passes_through(self, tmp_path, capsys, name):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t_us,x,y,p\n")
+        out = tmp_path / name
+        assert run(["noise", "--in", str(empty), "--size", "8x8", "--p", "0.5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        if name.endswith(".csv"):
+            assert out.read_bytes() == b"t_us,x,y,p\n"
+        else:
+            assert out.read_bytes() == b"EVS1" + struct.pack("<II", 8, 8)
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         src = synth_file(tmp_path)
@@ -425,6 +493,13 @@ class TestCurve:
         assert run(["curve", "--size", "32x32", "--p-list", "0.1,oops"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("p_list", [",", " , "])
+    def test_p_list_without_levels_is_usage_error(self, capsys, p_list):
+        assert run(["curve", "--size", "32x32", "--p-list", p_list]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a comma-separated probability list" in captured.err
+
 
 class TestInfo:
     def test_summary_printed(self, tmp_path, capsys):
@@ -510,6 +585,10 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: evtbr")
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "scene.bin"

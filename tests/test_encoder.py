@@ -635,6 +635,12 @@ class TestEncoderConfig:
         cfg = EncoderConfig(slicing=SLICING, micro_steps_per_slice=3)
         assert cfg.micro_steps_per_slice == 3
 
+    def test_plain_mode_encodes_as_one_step_per_slice(self):
+        stream = random_stream(G, n_events=300, duration=100_000, seed=6)
+        # 2500 us slices do not split into 3 micro steps.
+        cfg = EncoderConfig(slicing=SLICING, micro_steps_per_slice=3)
+        assert encode_stream(stream, cfg) == encode_stream(stream, CFG_TBR)
+
     def test_micro_steps_positive(self):
         with pytest.raises(ValueError):
             EncoderConfig(
@@ -667,6 +673,11 @@ class TestEncodedFrame:
         b = EncodedFrame(G, 8, codes, window_start=20_000)
         assert a != b
         assert a == EncodedFrame(G, 8, codes.copy(), window_start=0)
+
+    def test_unequal_to_other_types(self):
+        frame = EncodedFrame(G, 8, np.zeros(G.shape, dtype=np.uint32))
+        assert frame != frame.codes.tolist()
+        assert frame != None  # noqa: E711
 
     def test_max_code(self):
         codes = np.zeros(G.shape, dtype=np.uint32)

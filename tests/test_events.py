@@ -68,6 +68,11 @@ class TestEventStream:
         s = EventStream.from_events(G44, [(7, 1, 2, -1)])
         assert list(s) == [Event(x=1, y=2, t=7, p=-1)]
 
+    def test_unequal_to_other_types(self):
+        s = EventStream.from_events(G44, [(7, 1, 2, -1)])
+        assert s != list(s)
+        assert s != None  # noqa: E711
+
     def test_equality(self):
         a = EventStream.from_events(G44, [(1, 0, 0, 1)])
         b = EventStream.from_events(G44, [(1, 0, 0, 1)])
@@ -234,6 +239,11 @@ class TestBinarySliceStack:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BinarySliceStack(G44, np.zeros((8, 5, 5), dtype=bool))
+
+    def test_unequal_to_other_types(self):
+        stack = BinarySliceStack(G44, np.zeros((8, 4, 4), dtype=bool))
+        assert stack != stack.slices.tolist()
+        assert stack != None  # noqa: E711
 
     def test_nonbool_coerced(self):
         stack = BinarySliceStack(G44, np.zeros((8, 4, 4), dtype=np.uint8))

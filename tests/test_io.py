@@ -1,6 +1,7 @@
 import itertools
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,32 @@ class TestCsvWrite:
         write_events(stream, f, EventFileFormat.TEXT_CSV)
         assert read_events(f, EventFileFormat.TEXT_CSV, geometry=G) == stream
 
+    @pytest.mark.parametrize("n_events", [0, 1, 9, 10])
+    def test_lines_written_a_block_at_a_time(self, monkeypatch, tmp_path, n_events):
+        # Three lines a block: a whole number of blocks, a short last one.
+        monkeypatch.setattr(io, "_IO_BLOCK", 3)
+        stream = random_stream(SensorGeometry(300, 200), n_events=n_events, duration=5_000, seed=2)
+        f = tmp_path / "ev.csv"
+        write_events(stream, f, EventFileFormat.TEXT_CSV)
+        lines = "".join(f"{e.t},{e.x},{e.y},{e.p}\n" for e in stream)
+        assert f.read_bytes() == f"{CSV_HEADER}\n{lines}".encode("ascii")
+
+    def test_peak_memory_is_bounded_by_blocks_not_by_the_file(self, monkeypatch, tmp_path):
+        # One block's lines cost about ten times their text in Python
+        # objects; a whole-file write holds every line's string at once.
+        monkeypatch.setattr(io, "_IO_BLOCK", 500)
+        stream = random_stream(SensorGeometry(640, 480), n_events=32 * 500, duration=10**9, seed=1)
+        text = "".join(f"{e.t},{e.x},{e.y},{e.p}\n" for e in stream)
+        f = tmp_path / "ev.csv"
+        tracemalloc.start()
+        try:
+            write_events(stream, f, EventFileFormat.TEXT_CSV)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.read_bytes() == f"{CSV_HEADER}\n{text}".encode("ascii")
+        assert peak < len(text) / 2  # the text of 16 of the 32 blocks
+
 
 class TestBinaryRead:
     def test_empty_file_is_header_only(self, tmp_path):
@@ -397,6 +424,11 @@ class TestBinaryWrite:
         write_events(stream, f, EventFileFormat.BINARY_V1)
         records = b"".join(binary_record(*event) for event in stream)
         assert f.read_bytes() == binary_header(300, 200) + records
+
+    def test_negative_timestamp_rejected(self, tmp_path):
+        stream = EventStream.from_events(G, [(-1, 0, 0, 1), (5, 1, 1, -1)])
+        with pytest.raises(EventFileError, match="negative timestamps"):
+            write_events(stream, tmp_path / "ev.bin", EventFileFormat.BINARY_V1)
 
     def test_coordinates_above_u16_rejected(self, tmp_path):
         geometry = SensorGeometry(70_000, 4)

@@ -251,6 +251,36 @@ class TestRobustnessCurve:
                                n_seeds=1)
         assert pts[0].encoder == "spike-tbr-lif"
 
+    def test_std_is_the_sample_std_over_seeds(self):
+        cfg = EncoderConfig(slicing=SLICING)
+        pts = robustness_curve(small_scene(), cfg, noise_levels=[0.02], n_seeds=3, base_seed=1)
+        per_seed = [
+            robustness_curve(small_scene(), cfg, noise_levels=[0.02], n_seeds=1, base_seed=seed)[0].l1_mean
+            for seed in (1, 2, 3)
+        ]
+        assert pts[0].l1_std > 0.0
+        assert pts[0].l1_std == pytest.approx(np.std(per_seed, ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scene_kw,levels,n_seeds,match",
+        [
+            pytest.param({}, [0.0, 1.5], 1, "noise level must be in", id="level-above-one"),
+            pytest.param({}, [-0.1], 1, "noise level must be in", id="negative-level"),
+            pytest.param({}, [0.0], 0, "n_seeds must be at least 1", id="no-seeds"),
+            pytest.param({"duration": 0}, [0.0], 1, "no encoding windows", id="zero-length-scene"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_the_scene_is_generated(
+        self, monkeypatch, scene_kw, levels, n_seeds, match
+    ):
+        def generate_nothing(scene):
+            raise AssertionError("the scene was generated")
+
+        monkeypatch.setattr(metrics, "generate", generate_nothing)
+        with pytest.raises(ValueError, match=match):
+            robustness_curve(small_scene(**scene_kw), EncoderConfig(slicing=SLICING),
+                             noise_levels=levels, n_seeds=n_seeds)
+
     def test_invalid_noise_level_rejected(self):
         with pytest.raises(ValueError):
             robustness_curve(small_scene(), EncoderConfig(slicing=SLICING),

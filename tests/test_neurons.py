@@ -32,6 +32,10 @@ class TestNeuronConfig:
         with pytest.raises(ValueError):
             NeuronConfig(variant=NeuronVariant.PLIF, tau_m=1.0)
 
+    def test_zero_tau_is_a_value_error(self):
+        with pytest.raises(ValueError, match="tau_m must exceed 1 timestep"):
+            NeuronConfig(tau_m=0.0)
+
     def test_inconsistent_beta_tau_rejected(self):
         with pytest.raises(ValueError):
             NeuronConfig(beta=0.4, tau_m=2.0)
@@ -51,6 +55,10 @@ class TestNeuronConfig:
     def test_vth_positive(self):
         with pytest.raises(ValueError):
             NeuronConfig(beta=0.5, v_th=0.0)
+
+    def test_zero_vth_rejected_with_rest_below_it(self):
+        with pytest.raises(ValueError, match="v_th must be positive"):
+            NeuronConfig(beta=0.5, v_th=0.0, v_rest=-1.0)
 
     @pytest.mark.parametrize("v_rest", [1.1, 1.2, 50.0])
     def test_rest_at_or_above_threshold_rejected(self, v_rest):
@@ -105,6 +113,12 @@ class TestStepInput:
         assert not inp.values.any()
         assert inp.event_count == 0
         assert inp.pixels is None
+
+    def test_dense_input_of_the_transposed_shape_rejected(self):
+        geometry = SensorGeometry(4, 3)
+        grid = NeuronGrid(geometry, NeuronConfig(beta=0.5))
+        with pytest.raises(ValueError, match="does not match grid"):
+            grid.step(StepInput(np.zeros((4, 3)), 0))
 
 
 @st.composite
@@ -410,6 +424,23 @@ class TestLazyLeak:
             assert lazy_steps(lazy) <= clock_limit + 1
         # The dense step adds +0.0 to every membrane, turning -0.0 into +0.0.
         assert same_bits(lazy.v + 0.0, dense.v + 0.0)
+
+    def test_write_after_reset_fires_as_the_dense_chain(self):
+        cfg = NeuronConfig(beta=0.5)
+        sparse = one_event_input(LAZY_GEOMETRY, cfg, 0, 0)
+        sums = np.bincount(sparse.pixels, sparse.values, LAZY_GEOMETRY.pixel_count)
+        grids = []
+        for inp in (sparse, StepInput(sums.reshape(LAZY_GEOMETRY.shape), 1)):
+            grid = NeuronGrid(LAZY_GEOMETRY, cfg)
+            for _ in range(5):
+                grid.step(inp)
+            grid.reset()
+            grid.v[1, 82] = 3.0  # pixel 402, idle since the grid was built
+            grid.step(inp)
+            grids.append(grid)
+        lazy, chain = grids
+        assert lazy_steps(lazy) == 6
+        assert lazy.fired.tolist() == chain.fired.tolist() == [402]
 
     def test_decay_only_advances_the_clock(self):
         grid = NeuronGrid(LAZY_GEOMETRY, NeuronConfig(beta=0.5))

@@ -253,6 +253,14 @@ class TestInjectionOracle:
         assert redone
 
     @pytest.mark.parametrize("rule", list(PolarityRule))
+    def test_slices_wider_than_2_to_the_32_us(self, rule):
+        # numpy draws these slices' timestamps from 64-bit words: every
+        # firing slice is drawn again through its own key.
+        dt = 2**32 + 5
+        stream = random_stream(SensorGeometry(4, 4), n_events=10, duration=3 * dt, seed=4)
+        assert_matches_oracle(stream, cfg(0.5, dt=dt, seed=9, rule=rule), (0, 3 * dt))
+
+    @pytest.mark.parametrize("rule", list(PolarityRule))
     @pytest.mark.parametrize("dt", [3, 2_500])
     def test_last_slice_cut_to_one_us(self, dt, rule):
         # Every pixel fires; the last slice is decoded at the full width,

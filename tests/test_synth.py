@@ -47,6 +47,19 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             scene(SceneKind.MOVING_BAR, events_per_edge_pixel_per_slice=-0.5)
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            pytest.param("emission_period", 0, "emission_period must be positive", id="zero-period"),
+            pytest.param("emission_period", -2_500, "emission_period must be positive", id="negative-period"),
+            pytest.param("seed", -1, "seed must be non-negative", id="negative-seed"),
+            pytest.param("object_size", 0, "object_size must be at least 1", id="zero-size"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            scene(SceneKind.MOVING_BAR, **{field: value})
+
     def test_bar_wider_than_sensor_rejected(self):
         with pytest.raises(ValueError, match="bar width 65 exceeds sensor width 64"):
             scene(SceneKind.MOVING_BAR, object_size=65)
