@@ -46,6 +46,7 @@ import numpy as np
 # evtbr.encoder.slice_stream, the name perfbench/spans.py wraps.
 from .events import (
     INT64_MAX,
+    MAX_FRAME_BYTES,
     BinarySliceStack,
     EventStream,
     SensorGeometry,
@@ -53,11 +54,6 @@ from .events import (
     slice_stream,
 )
 from .neurons import NeuronConfig, NeuronGrid, StepInput
-
-# Upper bound on the code bytes one encode_stream call holds (4 GiB). A
-# window count past it comes from timestamps far from the window origin,
-# such as device clocks counted from the epoch, not from a recording.
-MAX_FRAME_BYTES = 1 << 32
 
 
 class EncoderMode(str, Enum):

@@ -29,8 +29,23 @@ INT64_MAX = np.iinfo(np.int64).max
 # pixel, so an oversized header or size fails here, before any allocation.
 MAX_PIXELS = 1 << 24
 
+# Upper bound on the frame codes one encode holds and on the events one scene,
+# overlay or noise draw makes (4 GiB). Counts past it come from timestamps far
+# from the window origin, such as epoch clocks, or from rates, not recordings.
+MAX_FRAME_BYTES = 1 << 32
+
 # Column names and dtypes of an EventStream, in field order.
 _COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
+_EVENT_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)  # 17
+
+
+def _check_event_budget(events: float, what: str) -> None:
+    """The event budget: ValueError when ``events`` events hold over MAX_FRAME_BYTES."""
+    if _EVENT_BYTES * events > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"{what} {events:.6g} events, over the limit of {MAX_FRAME_BYTES} bytes "
+            f"at {_EVENT_BYTES} bytes an event"
+        )
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -179,8 +194,7 @@ class BinarySliceStack:
             raise ValueError(
                 f"slice stack shape {self.slices.shape} does not match geometry {self.geometry.shape}"
             )
-        if self.slices.dtype != np.bool_:
-            self.slices = self.slices.astype(np.bool_)
+        self.slices = self.slices.astype(np.bool_, copy=False)
 
     @property
     def n_slices(self) -> int:
@@ -265,9 +279,8 @@ def slice_stream(stream: EventStream, cfg: SlicingConfig, window_start: int) -> 
     t = stream.t
     lo = int(np.searchsorted(t, window_start, side="left"))
     hi = int(np.searchsorted(t, window_end, side="left"))
-    if hi > lo:
-        idx = (t[lo:hi] - window_start) // cfg.slice_duration
-        stack[idx, stream.y[lo:hi], stream.x[lo:hi]] = True
+    idx = (t[lo:hi] - window_start) // cfg.slice_duration
+    stack[idx, stream.y[lo:hi], stream.x[lo:hi]] = True
     return BinarySliceStack(stream.geometry, stack, window_start)
 
 

@@ -414,7 +414,6 @@ def _subnormal_chain(v: np.ndarray, gaps: np.ndarray, m: int, beta: float) -> np
     exact = np.minimum(gaps, np.maximum((e + 1021) // m, 0))
     w = np.ldexp(v, -m * exact)
     rest = gaps - exact
-    w[rest >= _ZERO_AFTER] *= 0.0
     for i in range(int(min(rest.max(), _ZERO_AFTER))):
         w = np.where(rest > i, w * beta, w)
     return w

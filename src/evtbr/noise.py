@@ -67,8 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import MAX_FRAME_BYTES
-from .events import INT64_MAX, EventStream, SensorGeometry, merge_sorted_by_time
+from .events import INT64_MAX, EventStream, SensorGeometry, _check_event_budget, merge_sorted_by_time
 
 # Keeps noise draws decorrelated from any other seeded subsystem that might
 # share the user-facing seed value.
@@ -238,7 +237,8 @@ def inject_noise_levels(
     The configs may differ only in probability. Each slice is drawn once, at
     the highest level, into blocks of whole slices (see the module
     docstring), and each level is decoded and merged block by block when it
-    is asked for. A level where no pixel fires yields ``stream`` itself.
+    is asked for. A level where no pixel fires yields ``stream`` itself. A
+    draw that brings the stream past the event budget raises ValueError.
     """
     if not cfgs:
         return
@@ -259,7 +259,7 @@ def inject_noise_levels(
     p_max = max(levels)
     ranked = sorted(set(levels))
     n_slices = (t1 - t0 + dt - 1) // dt if p_max > 0.0 else 0
-    blocks = list(_draw_blocks(cfg.rng_seed, stream.geometry.pixel_count, dt, p_max, ranked, n_slices))
+    blocks = list(_draw_blocks(cfg.rng_seed, stream.geometry.pixel_count, dt, p_max, ranked, n_slices, len(stream)))
     signal = stream
     if blocks and (stream.t[1:] < stream.t[:-1]).any():
         signal = merge_sorted_by_time(stream.geometry, stream)  # one stable sort
@@ -283,12 +283,13 @@ class _Block(NamedTuple):
 
 
 def _draw_blocks(
-    seed: int, n_pix: int, dt: int, p: float, levels: list[float], n_slices: int
+    seed: int, n_pix: int, dt: int, p: float, levels: list[float], n_slices: int, events: int
 ) -> Iterator[_Block]:
     """Draw slices 0..n_slices-1 at probability p, one block of firing slices at a time.
 
     ``levels`` is ascending; each firing pixel keeps its rank among them in
-    place of its uniform.
+    place of its uniform. ``events`` counts the signal; the slice that brings
+    it past the event budget raises ValueError before its words are drawn.
     """
     pending, drawn = [], 0
     for s, rng in _keyed_generators(seed, NOISE_DOMAIN_TAG, range(n_slices)):
@@ -296,6 +297,8 @@ def _draw_blocks(
         fired = (u < p).nonzero()[0]
         if fired.size:
             k = fired.size
+            events += k
+            _check_event_budget(events, f"noise slice {s} brings the stream to")
             uint32s = k * (dt > 1) + -(-k // 4)
             pending.append((s, fired, u[fired], rng.bit_generator.random_raw(-(-uint32s // 2))))
             drawn += k
@@ -370,13 +373,11 @@ def _decode(u32, first, counts, starts, width, end) -> tuple[np.ndarray, np.ndar
     ``first`` (its first uint32 in ``u32``), ``counts`` (which may be 0)
     and ``starts`` are per slice, and every slice is ``width`` wide. The
     slices to draw again are given by index: one that the span's ``end``
-    cuts short, those where Lemire rejected a timestamp draw, or all of
-    them past 2^32 wide, which are not decoded.
+    cuts short and those where Lemire rejected a timestamp draw, which past
+    2^32 wide is all of them: ``(2^32 - width) % width`` is then 2^32.
     """
     ends = np.cumsum(counts)
     t = np.repeat(starts, counts)
-    if width > _U32_SPAN:
-        return t, np.empty(ends[-1], dtype=np.uint8), np.arange(len(counts))
     redo = starts + width > end
     rank = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # index in its slice
     if width > 1:
@@ -405,8 +406,8 @@ def merge_noise_recording(signal: EventStream, noise: EventStream) -> EventStrea
     over a signal spanning [0, 100] adds events at 0, 30, 30, 60, 60, 90
     and 90. A recording whose events all
     share one timestamp has no period to tile with: it is laid over the
-    signal once, at the signal's first event. A tiling whose copies hold
-    over ``MAX_FRAME_BYTES`` of events, at 17 bytes each, raises ValueError.
+    signal once, at the signal's first event. A tiling whose copies pass
+    the event budget (``MAX_FRAME_BYTES``, 17 bytes an event) raises ValueError.
     """
     if len(noise) == 0:
         raise ValueError("noise recording is empty")
@@ -422,12 +423,8 @@ def merge_noise_recording(signal: EventStream, noise: EventStream) -> EventStrea
     noise_t = noise.t.astype(np.int64) - int(noise.t[0])
     period = int(noise_t[-1])
     n_copies = (sig_end - sig_start) // period + 1 if period > 0 else 1
-    # 17 bytes an event: t int64, x and y int32, p int8.
-    if 17 * n_copies * len(noise) > MAX_FRAME_BYTES:
-        raise ValueError(
-            f"{n_copies} copies of the recording over the signal's {sig_end - sig_start} us "
-            f"span would hold over {MAX_FRAME_BYTES} bytes of events"
-        )
+    copies = f"{n_copies} copies of the recording over the signal's {sig_end - sig_start} us span"
+    _check_event_budget(n_copies * len(noise), f"{copies} hold")
 
     # Copy-major: every event of copy c, in recording order, before copy c+1.
     # The mask compares before adding, so a copy's tail cannot wrap past int64.

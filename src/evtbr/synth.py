@@ -23,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .encoder import MAX_FRAME_BYTES
-from .events import EventStream, SensorGeometry, merge_sorted_by_time
+from .events import EventStream, SensorGeometry, _check_event_budget, merge_sorted_by_time
 from .noise import _keyed_generators
 
 SYNTH_DOMAIN_TAG = 0x5359
@@ -129,9 +128,9 @@ def _edge_pixels(scene: SynthScene, slice_index: int, t: int):
 def generate(scene: SynthScene) -> EventStream:
     """Generate the scene's event stream, sorted by timestamp.
 
-    A scene whose events would hold over ``MAX_FRAME_BYTES``, at 17 bytes
-    each, raises ValueError at the slice that crosses it, before that
-    slice's timestamps are drawn.
+    A scene past the event budget (``MAX_FRAME_BYTES``, 17 bytes an event)
+    raises ValueError at the slice that crosses it, before that slice's
+    timestamps are drawn.
     """
     period = scene.emission_period
     rate = scene.events_per_edge_pixel_per_slice
@@ -145,15 +144,8 @@ def generate(scene: SynthScene) -> EventStream:
         counts = rng.poisson(rate, size=xs.size)
         # Summed as float64: the int64 sum of huge counts wraps negative.
         events += counts.sum(dtype=np.float64)
-        # 17 bytes an event: t int64, x and y int32, p int8.
-        if 17 * events > MAX_FRAME_BYTES:
-            raise ValueError(
-                f"slice {s} brings the scene to {events:.6g} events, over the limit of "
-                f"{MAX_FRAME_BYTES} bytes at 17 bytes an event"
-            )
+        _check_event_budget(events, f"slice {s} brings the scene to")
         total = int(counts.sum())
-        if total == 0:
-            continue
         ts = rng.integers(start, end, size=total, dtype=np.int64)
         parts.append(
             EventStream(

@@ -525,8 +525,8 @@ MUTANTS = [
     Mutant(
         "cli: --help exits 2",
         "cli.py",
-        "exc.code if isinstance(exc.code, int) else 2",
-        "exc.code if False else 2",
+        "        return exc.code\n",
+        "        return 2\n",
         (
             CLI + "::TestUsage::test_help_exits_zero",
         ),
@@ -641,33 +641,120 @@ MUTANTS = [
             SYNTH + "::TestBlinkingGrid::test_events_on_cell_perimeters_only",
         ),
     ),
-    # Scene byte limit.
+    # The event budget, shared by scenes, recording overlays and noise draws.
     Mutant(
         "scene limit: reject a scene that holds exactly the limit",
-        "synth.py",
-        "        if 17 * events > MAX_FRAME_BYTES:\n",
-        "        if 17 * events >= MAX_FRAME_BYTES:\n",
+        "events.py",
+        "    if _EVENT_BYTES * events > MAX_FRAME_BYTES:\n",
+        "    if _EVENT_BYTES * events >= MAX_FRAME_BYTES:\n",
         (
+            "tests/test_events.py::TestEventBudget::test_limit_counts_17_bytes_an_event",
             SYNTH + "::TestGenerateBasics::test_event_bytes_past_the_limit_are_rejected",
+            NOISE + "::TestMergeNoiseRecording::test_byte_limit_counts_17_bytes_per_tiled_event",
+            NOISE + "::TestInjectNoiseLevels::test_event_bytes_past_the_limit_are_rejected",
+        ),
+    ),
+    Mutant(
+        "event budget: noise draws not counted",
+        "noise.py",
+        '            _check_event_budget(events, f"noise slice {s} brings the stream to")\n',
+        "",
+        (
+            NOISE + "::TestInjectNoiseLevels::test_event_bytes_past_the_limit_are_rejected",
+            CLI + "::TestNoise::test_noise_past_the_byte_limit_is_data_error",
+        ),
+    ),
+    # Statements that no test pinned: each deleted.
+    Mutant(
+        "lazy leak: gaps not capped before their exponent",
+        "neurons.py",
+        "        gaps = np.minimum(gaps, _GAP_CAP)\n",
+        "",
+        (
+            NEURONS + "::TestLazyLeak::test_gaps_are_capped_before_their_exponent_is_taken",
+        ),
+    ),
+    Mutant(
+        "decay: the dense leak's decay_only returns None",
+        "neurons.py",
+        "            self._leak()\n        return self\n",
+        "            self._leak()\n",
+        (
+            NEURONS + "::TestDecay::test_single_step",
+        ),
+    ),
+    Mutant(
+        "encoder: a numpy window count kept",
+        "encoder.py",
+        "    n_windows = int(n_windows)\n",
+        "",
+        (
+            ENCODER + "::TestEncodeStream::test_numpy_window_count_is_checked_as_a_python_int",
+        ),
+    ),
+    Mutant(
+        "encoder: a passed grid kept in plain mode",
+        "encoder.py",
+        "        grid = None\n",
+        "        pass\n",
+        (
+            ENCODER + "::TestEncoderConfig::test_plain_mode_ignores_a_passed_grid",
+        ),
+    ),
+    Mutant(
+        "cli: noise prints no summary",
+        "cli.py",
+        "    print(stream_info(out).summary())\n",
+        "",
+        (
+            CLI + "::TestNoise::test_prints_the_output_summary",
+        ),
+    ),
+    Mutant(
+        "frame read: a str path not made a Path",
+        "io.py",
+        "    path = Path(path)\n    data = path.read_bytes()\n",
+        "    data = path.read_bytes()\n",
+        (
+            IO + "::TestFrameRead::test_reads_a_str_path",
         ),
     ),
 ]
 
 # Name -> why the mutant's code is gone.
-RETIRED: dict[str, str] = {}
+RETIRED: dict[str, str] = {
+    "cli.py: `isinstance(exc.code, int)` forced True": (
+        "branch deleted: argparse exits only with an integer status, 0 after --help and 2 on "
+        "a usage error"
+    ),
+    "events.py: `self.slices.dtype != np.bool_` forced True": (
+        "branch deleted: astype(bool, copy=False) leaves a bool stack as it is"
+    ),
+    "events.py: `hi > lo` forced True": (
+        "branch deleted: a window without events gives empty index arrays, and the assignment "
+        "writes nothing"
+    ),
+    "noise.py: `width > _U32_SPAN` forced False": (
+        "branch deleted: (2^32 - width) % width is 2^32 for every width over 2^32, so the "
+        "Lemire check rejects every draw and each such slice is drawn again anyway"
+    ),
+    "noise.py: `width > _U32_SPAN` forced True": (
+        "branch deleted: every slice over 2^32 wide is drawn again, as the rejection check "
+        "already asks"
+    ),
+    "synth.py: `total == 0` forced False": (
+        "branch deleted: a slice without events makes size-0 draws, which take no generator "
+        "state, and adds an empty part to the merge"
+    ),
+}
 
 # Name -> why the mutant changes no output; neither the gate nor
 # mutation_survey.py (under the names it prints) runs these. The survey's
-# entries force a branch that only saves work.
+# entries force a branch or delete a statement that only saves work.
 EQUIVALENT: dict[str, str] = {
-    "cli.py: `isinstance(exc.code, int)` forced True": (
-        "argparse exits only with an integer status: 0 after --help, 2 on a usage error"
-    ),
-    "events.py: `self.slices.dtype != np.bool_` forced True": (
-        "astype(bool) of a bool stack is an equal copy"
-    ),
-    "events.py: `hi > lo` forced True": (
-        "a window without events gives empty index arrays, and the assignment writes nothing"
+    "cli.py _event_format: `return EventFileFormat.BINARY_V1` deleted": (
+        "the format is then None, and read_events and write_events take every format but "
+        "TEXT_CSV as binary-v1"
     ),
     "io.py: `table is None` forced True": (
         "every CSV body then takes the line loop, which parses a clean body to the same "
@@ -689,6 +776,27 @@ EQUIVALENT: dict[str, str] = {
         "the general leak subtracts and adds v_rest = 0.0, which only turns -0.0 into +0.0; "
         "no spike, code or frame depends on the sign of a zero"
     ),
+    "metrics.py robustness_curve: `del noisy, frames, dists` deleted": (
+        "the trial's stream, frames and distances are then freed when the next level "
+        "replaces them, after it is merged: only the peak memory changes"
+    ),
+    "neurons.py NeuronGrid.step: `self._exposed = False` deleted": (
+        "every later sparse step then also scans all membranes for ones at or above v_th; "
+        "past the first step after a read of v those are only the last step's lrlif "
+        "spikers, which are candidates already, so the same neurons fire"
+    ),
+    "neurons.py NeuronGrid._decayed: `low &= v != 0.0` deleted": (
+        "zero membranes then also take the subnormal chain, which leaves a signed zero as "
+        "it is; the mask keeps them out of the per-step loop on hd-sparse"
+    ),
+    "neurons.py NeuronGrid._decayed: `return v` deleted": (
+        "at beta = 1, ldexp by 0 and the subnormal chain's multiplies by 1 leave v as it is; "
+        "the early return also keeps the chain from dividing by m = 0 on a subnormal membrane"
+    ),
+    "neurons.py NeuronGrid.reset: `self._synced = self._clock` deleted": (
+        "the next sync then catches every membrane up from the clock value reset wrote to "
+        "_last, which leaves the rest potential as it is"
+    ),
     "neurons.py: `m == 0` forced False": (
         "at beta = 1, ldexp by 0 and the subnormal chain's multiplies by 1 leave v as it is"
     ),
@@ -699,19 +807,6 @@ EQUIVALENT: dict[str, str] = {
     "noise.py: `drawn >= _BLOCK_PIXELS` forced True": (
         "each firing slice then closes its own block; blocks still partition time, and "
         "TestBlockMerge checks any block size against one whole-stream merge"
-    ),
-    "noise.py: `width > _U32_SPAN` forced False": (
-        "(2^32 - width) % width is 2^32 for every width over 2^32, so the Lemire check rejects "
-        "every draw and each such slice is drawn again anyway "
-        "(TestInjectionOracle::test_slices_wider_than_2_to_the_32_us passes on it)"
-    ),
-    "noise.py: `width > _U32_SPAN` forced True": (
-        "every slice is then drawn again through its own integers calls, the draws that the "
-        "decode reproduces"
-    ),
-    "synth.py: `total == 0` forced False": (
-        "a slice without events then makes size-0 draws, which take no generator state, and "
-        "adds an empty part to the merge"
     ),
     'block merge: find a block\'s end with searchsorted(end, side="right")': (
         "a signal event at t == end sorts after the block's noise (all t < end) and before "

@@ -11,7 +11,7 @@ import pytest
 from evtbr.cli import _size_arg, main
 from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig
-from evtbr.io import EventFileFormat, read_events, read_frame, write_events
+from evtbr.io import EventFileFormat, read_events, read_frame, stream_info, write_events
 from evtbr.neurons import NeuronConfig, NeuronVariant
 
 
@@ -403,6 +403,27 @@ class TestNoise:
                         "--out", str(out)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_prints_the_output_summary(self, tmp_path, capsys):
+        src = synth_file(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "noisy.bin"
+        assert run(["noise", "--in", str(src), "--p", "0.05", "--out", str(out)]) == 0
+        summary = stream_info(read_events(out, EventFileFormat.BINARY_V1)).summary()
+        assert capsys.readouterr().out == summary + "\n"
+
+    def test_noise_past_the_byte_limit_is_data_error(self, tmp_path, capsys, monkeypatch):
+        src = synth_file(tmp_path)
+        capsys.readouterr()
+        # Room for the signal alone: the first slice's noise crosses the limit.
+        n = len(read_events(src, EventFileFormat.BINARY_V1))
+        monkeypatch.setattr("evtbr.events.MAX_FRAME_BYTES", 17 * n)
+        out = tmp_path / "o.bin"
+        assert run(["noise", "--in", str(src), "--p", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"evtbr: error: noise slice 0 brings the stream to {n + 32 * 32} events")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_noise_adds_events(self, tmp_path, capsys):
         src = synth_file(tmp_path)

@@ -388,6 +388,12 @@ class TestEncodeStream:
         with pytest.raises(ValueError, match="representable"):
             encode_stream(stream, CFG_TBR, n_windows=n_windows)
 
+    def test_numpy_window_count_is_checked_as_a_python_int(self):
+        # np.int64 products would wrap, and numpy would then refuse the array.
+        stream = EventStream.from_events(G, [(0, 1, 1, 1)])
+        with pytest.raises(ValueError, match="representable"):
+            encode_stream(stream, CFG_TBR, n_windows=np.int64(2**61))
+
     def test_window_count_past_the_code_limit_is_rejected_before_encoding(self, monkeypatch):
         # One event at 10^12 us asks for 5 * 10^7 windows: the block would
         # exceed MAX_FRAME_BYTES, so no step is located and no block allocated.
@@ -640,6 +646,12 @@ class TestEncoderConfig:
         # 2500 us slices do not split into 3 micro steps.
         cfg = EncoderConfig(slicing=SLICING, micro_steps_per_slice=3)
         assert encode_stream(stream, cfg) == encode_stream(stream, CFG_TBR)
+
+    def test_plain_mode_ignores_a_passed_grid(self):
+        stream = random_stream(G, n_events=300, duration=100_000, seed=6)
+        grid = NeuronGrid(G, NeuronConfig(beta=0.5))
+        assert encode_stream(stream, CFG_TBR, grid) == encode_stream(stream, CFG_TBR)
+        assert grid.ac_count == grid.spike_count == 0
 
     def test_micro_steps_positive(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evtbr import events
 from evtbr.events import (
     MAX_PIXELS,
     BinarySliceStack,
@@ -8,6 +9,7 @@ from evtbr.events import (
     EventStream,
     SensorGeometry,
     SlicingConfig,
+    _check_event_budget,
     merge_sorted_by_time,
     slice_stream,
     sorted_unique,
@@ -26,6 +28,18 @@ class TestSortedUnique:
         got = sorted_unique(a)
         assert got.dtype == a.dtype
         assert np.array_equal(got, np.unique(a))
+
+
+class TestEventBudget:
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_limit_counts_17_bytes_an_event(self, monkeypatch, spare):
+        monkeypatch.setattr(events, "MAX_FRAME_BYTES", 17 * 10 + spare)
+        if spare == 0:
+            _check_event_budget(10, "ten")
+        else:
+            message = "ten 10 events, over the limit of 169 bytes at 17 bytes an event"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _check_event_budget(10, "ten")
 
 
 class TestGeometry:

@@ -504,6 +504,12 @@ class TestFrameRead:
         assert np.array_equal(back.codes, frame.codes)
         assert back.geometry == frame.geometry
 
+    def test_reads_a_str_path(self, tmp_path):
+        frame = encode_tbr(random_stack(G, 8, seed=0))
+        f = str(tmp_path / "frame.pgm")
+        write_frame(frame, f)
+        assert read_frame(f) == frame
+
     def test_window_start_not_persisted(self, tmp_path):
         frame = EncodedFrame(G, 8, np.zeros(G.shape, dtype=np.uint32), window_start=40_000)
         f = tmp_path / "frame.pgm"

@@ -451,6 +451,15 @@ class TestLazyLeak:
         grid.decay_only(10**9)
         assert grid.v[1, 2] == 0.0
 
+    def test_gaps_are_capped_before_their_exponent_is_taken(self):
+        # 1100 idle ticks of 2109 steps at m = 1000: an uncapped gap's
+        # exponent, -2.3e9, wraps in int32 and ldexp then gives inf.
+        grid = NeuronGrid(LAZY_GEOMETRY, NeuronConfig(beta=2.0**-1000))
+        grid.v[0, 0] = 1.0
+        for _ in range(1100):
+            grid.decay_only(2109)
+        assert grid.v[0, 0] == 0.0
+
 
 class TestSpikeFrame:
     """step returns one read-only buffer, valid until the next step."""
@@ -557,7 +566,7 @@ class TestDecay:
     def test_single_step(self):
         grid = NeuronGrid(G, NeuronConfig(beta=0.9))
         grid.v[:] = 1.0
-        grid.decay_only(1)
+        assert grid.decay_only(1) is grid
         assert np.allclose(grid.v, 0.9, atol=0, rtol=0)
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtbr import noise
+from evtbr import events, noise
 from evtbr.encoder import EncoderConfig, EncoderMode, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig, merge_sorted_by_time
 from evtbr.neurons import NeuronConfig
@@ -369,6 +369,19 @@ class TestInjectNoiseLevels:
     def test_no_configs_yield_nothing(self):
         assert list(inject_noise_levels(EventStream.empty(G), [])) == []
 
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_event_bytes_past_the_limit_are_rejected(self, monkeypatch, spare):
+        # The signal and the drawn pixels count, 17 bytes an event, up to the
+        # slice that crosses the limit; at p = 1 each slice draws 16.
+        stream = random_stream(G, n_events=10, duration=10_000, seed=0)
+        monkeypatch.setattr(events, "MAX_FRAME_BYTES", 17 * (10 + 4 * 16) + spare)
+        levels = inject_noise_levels(stream, [cfg(0.5), cfg(1.0)], span=(0, 10_000))
+        if spare == 0:
+            assert [len(out) for out in levels][1] == 10 + 4 * 16
+        else:
+            with pytest.raises(ValueError, match="noise slice 3 brings the stream to 74 events"):
+                next(levels)
+
     def test_zero_levels_set_no_slice_state(self, monkeypatch):
         keyed = []
         keyed_generators = noise._keyed_generators
@@ -563,9 +576,9 @@ class TestMergeNoiseRecording:
         signal = EventStream.from_events(G, [(0, 0, 0, 1), (100, 3, 3, 1)])
         recording = EventStream.from_events(G, [(10, 1, 1, 1), (40, 2, 2, 1)])
         # 4 copies of 2 events; the overlay keeps 7 of them.
-        monkeypatch.setattr(noise, "MAX_FRAME_BYTES", 17 * 4 * 2)
+        monkeypatch.setattr(events, "MAX_FRAME_BYTES", 17 * 4 * 2)
         assert len(merge_noise_recording(signal, recording)) == 2 + 7
-        monkeypatch.setattr(noise, "MAX_FRAME_BYTES", 17 * 4 * 2 - 1)
+        monkeypatch.setattr(events, "MAX_FRAME_BYTES", 17 * 4 * 2 - 1)
         with pytest.raises(ValueError, match="4 copies"):
             merge_noise_recording(signal, recording)
 

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference import reference_edge_pixels
 
-from evtbr import synth
+from evtbr import events, synth
 from evtbr.encoder import EncoderConfig, encode_stream
 from evtbr.events import SensorGeometry, SlicingConfig
 from evtbr.synth import SceneKind, SynthScene, generate
@@ -114,7 +114,7 @@ class TestGenerateBasics:
         sc = scene(SceneKind.MOVING_BAR, duration=10_000)
         stream = generate(sc)
         last = int(stream.t[-1]) // sc.emission_period
-        monkeypatch.setattr(synth, "MAX_FRAME_BYTES", 17 * len(stream) + spare)
+        monkeypatch.setattr(events, "MAX_FRAME_BYTES", 17 * len(stream) + spare)
         if spare == 0:
             assert generate(sc) == stream
         else:
