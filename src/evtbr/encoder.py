@@ -51,6 +51,7 @@ from .events import (
     EventStream,
     SensorGeometry,
     SlicingConfig,
+    _fields_equal,
     slice_stream,
 )
 from .neurons import NeuronConfig, NeuronGrid, StepInput
@@ -92,15 +93,7 @@ class EncodedFrame:
         """Codes mapped to [0, 1] by dividing by 2**N - 1."""
         return self.codes.astype(np.float64) / self.max_code
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EncodedFrame):
-            return NotImplemented
-        return (
-            self.geometry == other.geometry
-            and self.n_bits == other.n_bits
-            and self.window_start == other.window_start
-            and np.array_equal(self.codes, other.codes)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ bin; an event exactly on a boundary belongs to the next bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -37,6 +37,13 @@ MAX_FRAME_BYTES = 1 << 32
 # Column names and dtypes of an EventStream, in field order.
 _COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
 _EVENT_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)  # 17
+
+
+def _fields_equal(self, other: object) -> bool:
+    """``__eq__`` of a dataclass that holds arrays: every field equal by ``np.array_equal``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _check_event_budget(events: float, what: str) -> None:
@@ -145,12 +152,7 @@ class EventStream:
         columns = (self.t.tolist(), self.x.tolist(), self.y.tolist(), self.p.tolist())
         return (Event(*row) for row in zip(*columns))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventStream):
-            return NotImplemented
-        return self.geometry == other.geometry and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _COLUMNS
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -200,14 +202,7 @@ class BinarySliceStack:
     def n_slices(self) -> int:
         return self.slices.shape[0]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinarySliceStack):
-            return NotImplemented
-        return (
-            self.geometry == other.geometry
-            and self.window_start == other.window_start
-            and np.array_equal(self.slices, other.slices)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,10 @@ def read_events(
     event that goes back in time is reported by its byte or line offset.
 
     ``geometry`` is required for text-csv (the format has no header for
-    it) and ignored for binary-v1, which carries its own.
+    it) and ignored for binary-v1, which carries its own. ``fmt`` is a
+    format or its value; anything else raises ValueError.
     """
+    fmt = EventFileFormat(fmt)
     path = Path(path)
     if fmt is EventFileFormat.TEXT_CSV:
         if geometry is None:
@@ -92,8 +94,12 @@ def read_events(
 
 
 def write_events(stream: EventStream, path: str | Path, fmt: EventFileFormat) -> None:
-    """Write a stream so that reading it back reproduces it exactly."""
-    csv = fmt is EventFileFormat.TEXT_CSV
+    """Write a stream so that reading it back reproduces it exactly.
+
+    ``fmt`` is a format or its value; anything else raises ValueError
+    before ``path`` is opened.
+    """
+    csv = EventFileFormat(fmt) is EventFileFormat.TEXT_CSV
     if not csv and len(stream) and (int(stream.x.max()) > _U16_MAX or int(stream.y.max()) > _U16_MAX):
         raise EventFileError("event coordinates exceed binary-v1 u16 range")
     if not csv and len(stream) and int(stream.t.min()) < 0:

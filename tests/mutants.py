@@ -24,6 +24,7 @@ NOISE = "tests/test_noise.py"
 IO = "tests/test_io.py"
 SYNTH = "tests/test_synth.py"
 CLI = "tests/test_cli.py"
+EVENTS = "tests/test_events.py"
 CURVE = "tests/test_metrics.py::TestRobustnessCurve"
 REFERENCE = ENCODER + "::TestReferenceEncoder::test_encode_stream_matches_per_event_reference"
 ORACLE = NOISE + "::TestInjectionOracle"
@@ -540,31 +541,38 @@ MUTANTS = [
             ENCODER + "::TestEncoderConfig::test_plain_mode_encodes_as_one_step_per_slice",
         ),
     ),
+    # Equality: one helper compares every field of frames, streams and slice stacks.
     Mutant(
-        "equality: a frame compared field by field with any object",
-        "encoder.py",
-        "        if not isinstance(other, EncodedFrame):\n",
-        "        if False:\n",
+        "equality: frames, streams and slice stacks compared field by field with any object",
+        "events.py",
+        "    if not isinstance(other, type(self)):\n",
+        "    if False:\n",
         (
             ENCODER + "::TestEncodedFrame::test_unequal_to_other_types",
+            EVENTS + "::TestEventStream::test_unequal_to_other_types",
+            EVENTS + "::TestBinarySliceStack::test_unequal_to_other_types",
         ),
     ),
     Mutant(
-        "equality: a stream compared field by field with any object",
+        "equality: arrays compared by identity",
         "events.py",
-        "        if not isinstance(other, EventStream):\n",
-        "        if False:\n",
+        "np.array_equal(getattr(self, f.name), getattr(other, f.name))",
+        "getattr(self, f.name) is getattr(other, f.name)",
         (
-            "tests/test_events.py::TestEventStream::test_unequal_to_other_types",
+            ENCODER + "::TestEncodedFrame::test_equality_includes_window_start",
+            EVENTS + "::TestEventStream::test_equality",
+            EVENTS + "::test_equality_covers_every_field",
         ),
     ),
     Mutant(
-        "equality: a slice stack compared field by field with any object",
+        "equality: the last field skipped",
         "events.py",
-        "        if not isinstance(other, BinarySliceStack):\n",
-        "        if False:\n",
+        "for f in fields(self))",
+        "for f in fields(self)[:-1])",
         (
-            "tests/test_events.py::TestBinarySliceStack::test_unequal_to_other_types",
+            EVENTS + "::test_equality_covers_every_field[stream]",
+            EVENTS + "::test_equality_covers_every_field[stack]",
+            EVENTS + "::test_equality_covers_every_field[frame]",
         ),
     ),
     # Written membranes and passed grids.
@@ -648,7 +656,7 @@ MUTANTS = [
         "    if _EVENT_BYTES * events > MAX_FRAME_BYTES:\n",
         "    if _EVENT_BYTES * events >= MAX_FRAME_BYTES:\n",
         (
-            "tests/test_events.py::TestEventBudget::test_limit_counts_17_bytes_an_event",
+            EVENTS + "::TestEventBudget::test_limit_counts_17_bytes_an_event",
             SYNTH + "::TestGenerateBasics::test_event_bytes_past_the_limit_are_rejected",
             NOISE + "::TestMergeNoiseRecording::test_byte_limit_counts_17_bytes_per_tiled_event",
             NOISE + "::TestInjectNoiseLevels::test_event_bytes_past_the_limit_are_rejected",
@@ -719,6 +727,208 @@ MUTANTS = [
             IO + "::TestFrameRead::test_reads_a_str_path",
         ),
     ),
+    # Event formats: anything but a member or its value is rejected.
+    Mutant(
+        "cli: no format for a binary-v1 path",
+        "cli.py",
+        "    return EventFileFormat.BINARY_V1\n",
+        "    pass\n",
+        (
+            CLI + "::TestEncode::test_frames_and_manifest",
+        ),
+    ),
+    Mutant(
+        "event write: an unknown format written as binary-v1",
+        "io.py",
+        "    csv = EventFileFormat(fmt) is EventFileFormat.TEXT_CSV\n",
+        "    csv = fmt is EventFileFormat.TEXT_CSV\n",
+        (
+            IO + "::TestEventFormats::test_value_selects_its_format",
+            IO + "::TestEventFormats::test_unknown_format_written_nowhere",
+        ),
+    ),
+    Mutant(
+        "event read: an unknown format read as binary-v1",
+        "io.py",
+        "    fmt = EventFileFormat(fmt)\n",
+        "",
+        (
+            IO + "::TestEventFormats::test_value_selects_its_format",
+            IO + "::TestEventFormats::test_unknown_format_not_read",
+        ),
+    ),
+    # Comparisons and limits that no test pinned: each flipped or moved.
+    Mutant(
+        "written membranes: one written at exactly v_th not scanned",
+        "neurons.py",
+        "np.concatenate((candidates, np.flatnonzero(v >= cfg.v_th)))",
+        "np.concatenate((candidates, np.flatnonzero(v > cfg.v_th)))",
+        (
+            NEURONS + "::TestCandidateSet::test_membrane_written_at_threshold_fires_as_dense",
+        ),
+    ),
+    Mutant(
+        "lazy leak: gaps capped below the steps to zero",
+        "neurons.py",
+        "_GAP_CAP = 2045 + _ZERO_AFTER\n",
+        "_GAP_CAP = 2045 - _ZERO_AFTER\n",
+        (
+            NEURONS + "::TestLazyLeak::test_largest_membrane_idles_to_zero_within_the_gap_cap",
+        ),
+    ),
+    Mutant(
+        "lazy leak: the clock restarts past int32",
+        "neurons.py",
+        "_CLOCK_LIMIT = 2**31 - 1 - _GAP_CAP\n",
+        "_CLOCK_LIMIT = 2**32 - 1 - _GAP_CAP\n",
+        (
+            NEURONS + "::TestLazyLeak::test_clock_never_passes_int32",
+        ),
+    ),
+    Mutant(
+        "encoder: a window ending at INT64_MAX rejected",
+        "encoder.py",
+        "start + n_windows * duration > INT64_MAX",
+        "start + n_windows * duration >= INT64_MAX",
+        (
+            ENCODER + "::TestEncodeStream::test_window_ending_at_int64_max_is_encoded",
+        ),
+    ),
+    Mutant(
+        "encoder: a block of exactly the byte limit rejected",
+        "encoder.py",
+        "    if nbytes > MAX_FRAME_BYTES:\n",
+        "    if nbytes >= MAX_FRAME_BYTES:\n",
+        (
+            ENCODER + "::TestEncodeStream::test_block_of_exactly_the_byte_limit_is_encoded",
+        ),
+    ),
+    Mutant(
+        "geometry: a sensor one pixel wide rejected",
+        "events.py",
+        "if self.width < 1 or",
+        "if self.width <= 1 or",
+        (
+            EVENTS + "::TestGeometry::test_one_pixel_wide_or_high_accepted",
+        ),
+    ),
+    Mutant(
+        "slicing: one slice a window rejected",
+        "events.py",
+        "if not 1 <= self.bits_per_frame <= 32:",
+        "if not 1 < self.bits_per_frame <= 32:",
+        (
+            EVENTS + "::TestSlicingConfig::test_window_duration",
+        ),
+    ),
+    Mutant(
+        "slicing: 32 slices a window rejected",
+        "events.py",
+        "if not 1 <= self.bits_per_frame <= 32:",
+        "if not 1 <= self.bits_per_frame < 32:",
+        (
+            EVENTS + "::TestSlicingConfig::test_window_duration",
+        ),
+    ),
+    Mutant(
+        "slicing: a window of exactly INT64_MAX rejected",
+        "events.py",
+        "self.bits_per_frame * self.slice_duration > INT64_MAX",
+        "self.bits_per_frame * self.slice_duration >= INT64_MAX",
+        (
+            EVENTS + "::TestSlicingConfig::test_window_duration",
+        ),
+    ),
+    Mutant(
+        "event faults: equal timestamps out of order",
+        "events.py",
+        "order[1:] = t[1:] < t[:-1]",
+        "order[1:] = t[1:] <= t[:-1]",
+        (
+            EVENTS + "::TestValidateStream::test_clean",
+        ),
+    ),
+    Mutant(
+        "event faults: y equal to the height in bounds",
+        "events.py",
+        "(y >= geometry.height)",
+        "(y > geometry.height)",
+        (
+            EVENTS + "::TestValidateStream::test_out_of_bounds_y_equal_height",
+        ),
+    ),
+    Mutant(
+        "event faults: t = 0 negative",
+        "events.py",
+        '"negative_t": t < 0,',
+        '"negative_t": t <= 0,',
+        (
+            EVENTS + "::TestValidateStream::test_timestamps_from_0_to_int64_max_are_in_range",
+        ),
+    ),
+    Mutant(
+        "event faults: t = INT64_MAX too large",
+        "events.py",
+        '"large_t": t > INT64_MAX,',
+        '"large_t": t >= INT64_MAX,',
+        (
+            EVENTS + "::TestValidateStream::test_timestamps_from_0_to_int64_max_are_in_range",
+        ),
+    ),
+    Mutant(
+        "slicing: a window ending at INT64_MAX rejected",
+        "events.py",
+        "if window_end > INT64_MAX:",
+        "if window_end >= INT64_MAX:",
+        (
+            EVENTS + "::TestSliceStream::test_window_ending_at_int64_max",
+        ),
+    ),
+    Mutant(
+        "binary write: x = 65535 rejected",
+        "io.py",
+        "int(stream.x.max()) > _U16_MAX",
+        "int(stream.x.max()) >= _U16_MAX",
+        (
+            IO + "::TestBinaryWrite::test_coordinates_at_u16_max_round_trip[x]",
+        ),
+    ),
+    Mutant(
+        "binary write: y = 65535 rejected",
+        "io.py",
+        "int(stream.y.max()) > _U16_MAX",
+        "int(stream.y.max()) >= _U16_MAX",
+        (
+            IO + "::TestBinaryWrite::test_coordinates_at_u16_max_round_trip[y]",
+        ),
+    ),
+    Mutant(
+        "curve: level 1.0 rejected",
+        "metrics.py",
+        "        if not 0.0 <= p <= 1.0:\n",
+        "        if not 0.0 <= p < 1.0:\n",
+        (
+            CURVE + "::test_level_one_fires_every_pixel",
+        ),
+    ),
+    Mutant(
+        "neuron config: tau_m = 1 passed on to the beta check",
+        "neurons.py",
+        "            if tau_m <= 1.0:\n",
+        "            if tau_m < 1.0:\n",
+        (
+            NEURONS + "::TestNeuronConfig::test_tau_must_exceed_one_step",
+        ),
+    ),
+    Mutant(
+        "recording overlay: copies end before the signal's last event",
+        "noise.py",
+        "np.nonzero(noise_t <= sig_end - offsets[:, None])",
+        "np.nonzero(noise_t < sig_end - offsets[:, None])",
+        (
+            NOISE + "::TestMergeNoiseRecording::test_copies_end_at_the_signals_last_event",
+        ),
+    ),
 ]
 
 # Name -> why the mutant's code is gone.
@@ -750,12 +960,9 @@ RETIRED: dict[str, str] = {
 
 # Name -> why the mutant changes no output; neither the gate nor
 # mutation_survey.py (under the names it prints) runs these. The survey's
-# entries force a branch or delete a statement that only saves work.
+# entries force a branch, delete a statement or flip a comparison where
+# either side gives the same output, and at most the work differs.
 EQUIVALENT: dict[str, str] = {
-    "cli.py _event_format: `return EventFileFormat.BINARY_V1` deleted": (
-        "the format is then None, and read_events and write_events take every format but "
-        "TEXT_CSV as binary-v1"
-    ),
     "io.py: `table is None` forced True": (
         "every CSV body then takes the line loop, which parses a clean body to the same "
         "columns (TestCsvFastPath::test_matches_the_line_loop)"
@@ -812,5 +1019,68 @@ EQUIVALENT: dict[str, str] = {
         "a signal event at t == end sorts after the block's noise (all t < end) and before "
         "any later block's noise (all t >= end) in either block, signal first on ties; "
         "TestBlockMerge passed 5000 examples on it"
+    ),
+    "events.py: `len(a) > 1` flipped to `len(a) >= 1`": (
+        "a one-element array is then masked by [True], which keeps it as it is"
+    ),
+    "io.py: `np.iinfo(codes.dtype).max > maxval` flipped to `np.iinfo(codes.dtype).max >= maxval`": (
+        "codes whose dtype tops out at maxval (uint8 at N = 8) are then scanned too, and none "
+        "can exceed it; only the scan's work changes"
+    ),
+    "io.py: `stream.p > 0` flipped to `stream.p >= 0`": (
+        "p is -1 or 1 in every stream the readers, synth and noise make (the readers reject "
+        "any other polarity), so both count the same events"
+    ),
+    "neurons.py: `np.asarray(p) > 0` flipped to `np.asarray(p) >= 0`": (
+        "p is -1 or 1 in every stream the readers, synth and noise make (the readers reject "
+        "any other polarity), so both give each event the same weight"
+    ),
+    "neurons.py: `16 * len(pixels) < v.size` flipped to `16 * len(pixels) <= v.size`": (
+        "a tuning threshold: a step of exactly one event per 16 pixels is then sparse, too "
+        "dense to leak lazily; it adds the sums bincount builds (as `not sparse` forced "
+        "False) and fires the neurons a full scan finds (as `sparse` forced False)"
+    ),
+    "neurons.py: `self._clock >= _CLOCK_LIMIT` flipped to `self._clock > _CLOCK_LIMIT`": (
+        "a clock at exactly _CLOCK_LIMIT then moves at most _GAP_CAP more, to 2^31 - 1, which "
+        "int32 holds, and restarts on the next tick; a restart changes no membrane "
+        "(TestLazyLeak's restarting-clock case)"
+    ),
+    "neurons.py: `np.abs(out) < _SMALLEST_NORMAL` flipped to `np.abs(out) <= _SMALLEST_NORMAL`": (
+        "ldexp is exact down to 2^-1022, so a result of exactly 2^-1022 in magnitude comes "
+        "from a power of two whose steps all stay normal; the subnormal chain then takes them "
+        "as one exact ldexp too"
+    ),
+    "noise.py: `max(seed, tag, block[-1]) > _MASK32` flipped to `max(seed, tag, block[-1]) >= _MASK32`": (
+        "a key of exactly 2^32 - 1 then builds default_rng([seed, tag, s]) itself, the "
+        "generator the hashed seed words rebuild (as `max(seed, tag, block[-1]) > _MASK32` "
+        "forced True)"
+    ),
+    "noise.py: `stream.t[1:] < stream.t[:-1]` flipped to `stream.t[1:] <= stream.t[:-1]`": (
+        "a sorted signal with equal timestamps is then stable-sorted too, which keeps its "
+        "order; only the sort's work changes"
+    ),
+    "noise.py: `u < p` flipped to `u <= p`": (
+        "a pixel whose uniform equals the highest level is then drawn, but a level keeps only "
+        'uniforms below it (the rank\'s searchsorted side="right"), so no level keeps it; its '
+        "slice's own generator draws words no decode reads, and the event budget counts one "
+        "more event"
+    ),
+    "noise.py: `dt > 1` flipped to `dt >= 1`": (
+        "a 1 us slice then draws timestamp words that the decode never reads (it reads them "
+        "only for width > 1) from the slice's own generator, so no other draw moves"
+    ),
+    "noise.py: `drawn >= _BLOCK_PIXELS` flipped to `drawn > _BLOCK_PIXELS`": (
+        "a block of exactly _BLOCK_PIXELS pixels then closes one firing slice later; blocks "
+        "still partition time, and TestBlockMerge checks any block size against one "
+        "whole-stream merge"
+    ),
+    "noise.py: `starts + width > end` flipped to `starts + width >= end`": (
+        "a slice that ends exactly at the span's end is then drawn again through its own "
+        "generator at the same width, and Generator.integers gives the events the decode read"
+    ),
+    "noise.py: `m.astype(np.uint32) < (_U32_SPAN - width) % width` flipped to `m.astype(np.uint32) <= (_U32_SPAN - width) % width`": (
+        "a timestamp draw whose low word equals Lemire's threshold is then drawn again "
+        "through its slice's own generator, which reproduces Generator.integers exactly; only "
+        "work changes"
     ),
 }

@@ -1,16 +1,20 @@
-"""Mutation survey: force each branch test, or delete each statement, in ``src/evtbr``.
+"""Mutation survey of ``src/evtbr``: forced branches, deleted statements, flipped comparisons.
 
-Usage: ``python tests/mutation_survey.py [--statements] [module.py ...]``
+Usage: ``python tests/mutation_survey.py [--statements | --comparisons] [module.py ...]``
 (default: every module that has a ``tests/test_<module>.py``).
 
-Two modes, each listing its survivors:
+Three modes, each listing its survivors:
 
 - branch forcing (the default): every ``if`` statement and conditional
   expression whose test sits on one line yields two mutants, the test
   replaced by ``False`` and by ``True``;
 - statement deletion (``--statements``): every statement on one line in a
   function body, docstrings aside, yields one mutant, the statement
-  replaced by ``pass``.
+  replaced by ``pass``;
+- comparison flips (``--comparisons``): every ``<``, ``<=``, ``>`` and
+  ``>=`` of a comparison on one line yields one mutant, the operator
+  replaced by its strict or non-strict partner (``<`` and ``<=``, ``>``
+  and ``>=``).
 
 Each mutant is applied to its own copy of the
 repository, made as ``mutation_gate.py`` makes one, and its module's test
@@ -26,8 +30,9 @@ printed here, with the reason; the survey skips those entries. A survivor
 of the module's file may still be killed by another test file; run the
 whole suite on it before writing a test.
 
-The survey is not part of ``pytest``. Full runs took 591 s for 318 branch
-mutants and 966 s for 656 statement mutants on two cores, two at a time.
+The survey is not part of ``pytest``. Full runs took 811 s for 314 branch
+mutants, 1385 s for 656 statement mutants and 158 s for 92 comparison
+mutants on two cores, two at a time.
 
 Exit status 0 when no untriaged mutant survives, 1 otherwise.
 """
@@ -35,6 +40,7 @@ Exit status 0 when no untriaged mutant survives, 1 otherwise.
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,6 +57,8 @@ SRC = ROOT / "src" / "evtbr"
 # A module test file runs in about 10 s at most; a mutant that makes one run far
 # longer (a noise span of days, say) is killed for it.
 TIMEOUT_S = 180
+# Each ordering operator and its strict or non-strict partner.
+_FLIPPED = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 
 
 class LineMutant(NamedTuple):
@@ -119,6 +127,36 @@ def statement_mutants(file: str) -> list[LineMutant]:
     return mutants
 
 
+def comparison_mutants(file: str) -> list[LineMutant]:
+    """Each ``<``, ``<=``, ``>`` and ``>=`` of a one-line comparison flipped to its partner."""
+    text = (SRC / file).read_text()
+    lines = text.splitlines()
+    compares = [
+        node
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Compare) and node.lineno == node.end_lineno
+    ]
+    seen = Counter()
+    mutants = []
+    for node in sorted(compares, key=lambda n: (n.lineno, n.col_offset)):
+        line = lines[node.lineno - 1]
+        lo, hi = node.col_offset, node.end_col_offset
+        operands = [node.left, *node.comparators]
+        for left, right in zip(operands, operands[1:]):
+            # Between two operands sit only brackets, spaces and the operator.
+            op = re.search(r"[<>]=?", line[left.end_col_offset : right.col_offset])
+            if op is None:  # ==, !=, in, is
+                continue
+            at = left.end_col_offset + op.start()
+            mutated = line[:at] + _FLIPPED[op[0]] + line[at + len(op[0]) :]
+            name = f"{file}: `{line[lo:hi]}` flipped to `{mutated[lo : hi + len(mutated) - len(line)]}`"
+            seen[name] += 1
+            if seen[name] > 1:
+                name += f" #{seen[name]}"
+            mutants.append(LineMutant(name, file, node.lineno, mutated))
+    return mutants
+
+
 def run(mutant: LineMutant) -> tuple[bool, str]:
     """(killed, detail) of one mutant against its module's test file."""
     start = time.perf_counter()
@@ -138,8 +176,9 @@ def run(mutant: LineMutant) -> tuple[bool, str]:
 
 def main(args: list[str]) -> int:
     start = time.perf_counter()
-    kind, make = ("statement", statement_mutants) if "--statements" in args else ("branch", branch_mutants)
-    files = [a for a in args if a != "--statements"]
+    modes = {"--statements": ("statement", statement_mutants), "--comparisons": ("comparison", comparison_mutants)}
+    kind, make = next((modes[a] for a in args if a in modes), ("branch", branch_mutants))
+    files = [a for a in args if a not in modes]
     files = files or sorted(p.name for p in SRC.glob("*.py") if (ROOT / "tests" / f"test_{p.stem}.py").is_file())
     generated = [m for file in files for m in make(file)]
     mutants = [m for m in generated if m.name not in EQUIVALENT]

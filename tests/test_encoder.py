@@ -388,6 +388,11 @@ class TestEncodeStream:
         with pytest.raises(ValueError, match="representable"):
             encode_stream(stream, CFG_TBR, n_windows=n_windows)
 
+    def test_window_ending_at_int64_max_is_encoded(self):
+        start = np.iinfo(np.int64).max - SLICING.window_duration
+        frame = encode_window_tbr(EventStream.empty(G), CFG_TBR, start)
+        assert frame.window_start == start and not frame.codes.any()
+
     def test_numpy_window_count_is_checked_as_a_python_int(self):
         # np.int64 products would wrap, and numpy would then refuse the array.
         stream = EventStream.from_events(G, [(0, 1, 1, 1)])
@@ -413,6 +418,11 @@ class TestEncodeStream:
         assert len(encode_stream(stream, cfg, n_windows=n_windows)) == n_windows
         with pytest.raises(ValueError, match=f"{n_windows + 1} windows .*no events"):
             encode_stream(stream, cfg, n_windows=n_windows + 1)
+
+    def test_block_of_exactly_the_byte_limit_is_encoded(self, monkeypatch):
+        # Three windows of 16 uint8 codes and 8 steps of 16 bytes each.
+        monkeypatch.setattr(encoder, "MAX_FRAME_BYTES", 3 * (16 + 16 * 8))
+        assert len(encode_stream(EventStream.empty(G), CFG_TBR, n_windows=3)) == 3
 
     def test_late_events_still_give_every_window(self):
         rows = [(10**9 + 100 * i, i % 4, 0, 1) for i in range(10)]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from evtbr import events
+from evtbr.encoder import EncodedFrame
 from evtbr.events import (
     MAX_PIXELS,
     BinarySliceStack,
@@ -52,6 +55,10 @@ class TestGeometry:
     def test_rejects_degenerate(self, w, h):
         with pytest.raises(ValueError):
             SensorGeometry(w, h)
+
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 5), (5, 1)])
+    def test_one_pixel_wide_or_high_accepted(self, w, h):
+        assert SensorGeometry(w, h).shape == (h, w)
 
     def test_largest_accepted_sensor(self):
         assert MAX_PIXELS == 1 << 24
@@ -133,7 +140,7 @@ class TestEventStream:
 
 class TestValidateStream:
     def test_clean(self):
-        s = EventStream.from_events(G44, [(0, 0, 0, 1), (5, 3, 3, -1)])
+        s = EventStream.from_events(G44, [(0, 0, 0, 1), (5, 3, 3, -1), (5, 1, 2, 1)])
         report = validate_stream(s)
         assert report.violation_count == 0
         assert report.is_clean
@@ -153,11 +160,27 @@ class TestValidateStream:
     def test_empty_is_clean(self):
         assert validate_stream(EventStream.empty(G44)).is_clean
 
+    def test_out_of_bounds_y_equal_height(self):
+        s = EventStream.from_events(G44, [(5, 0, 4, 1), (6, 0, 3, 1)])
+        assert validate_stream(s).out_of_bounds == 1
+
+    def test_timestamps_from_0_to_int64_max_are_in_range(self):
+        top = int(np.iinfo(np.int64).max)
+        t = np.array([-1, 0, top, top + 1], dtype=object)
+        zeros = np.zeros(4, dtype=np.int64)
+        faults = events.event_faults(G44, t, zeros, zeros, np.ones(4, dtype=np.int64))
+        assert faults["negative_t"].tolist() == [True, False, False, False]
+        assert faults["large_t"].tolist() == [False, False, False, True]
+
 
 class TestSlicingConfig:
     def test_window_duration(self):
         assert SlicingConfig(2500, 8).window_duration == 20_000
         assert SlicingConfig(6250, 8).window_duration == 50_000
+        assert SlicingConfig(1, 1).window_duration == 1
+        assert SlicingConfig(1, 32).window_duration == 32
+        top = int(np.iinfo(np.int64).max)  # 7 * 1317624576693539401
+        assert SlicingConfig(top // 7, 7).window_duration == top
 
     @pytest.mark.parametrize("dt,n", [(0, 8), (-1, 8), (2500, 0), (2500, 33)])
     def test_rejects_bad_params(self, dt, n):
@@ -203,6 +226,11 @@ class TestSliceStream:
         with pytest.raises(ValueError):
             slice_stream(EventStream.empty(G44), DT, -1)
 
+    def test_window_ending_at_int64_max(self):
+        start = np.iinfo(np.int64).max - DT.window_duration
+        stack = slice_stream(EventStream.empty(G44), DT, start)
+        assert stack.window_start == start and not stack.slices.any()
+
     def test_rejects_window_past_int64(self):
         start = np.iinfo(np.int64).max - 100
         with pytest.raises(ValueError):
@@ -247,6 +275,56 @@ class TestMergeSortedByTime:
         b = EventStream.from_events(G44, [(3, 2, 0, 1), (1, 3, 0, 1)])
         merged = merge_sorted_by_time(G44, a, b)
         assert list(merged) == [(1, 3, 0, 1), (3, 1, 0, 1), (3, 2, 0, 1), (9, 0, 0, 1)]
+
+
+# Per type: field values built anew on each call, and per field a change of
+# that field alone (a new geometry also takes arrays of its shape).
+WIDE = SensorGeometry(5, 4)
+EQUALITY_CASES = {
+    "stream": (
+        EventStream,
+        lambda: dict(geometry=G44, t=np.array([1, 2]), x=np.array([0, 1]), y=np.array([2, 3]), p=np.array([1, -1])),
+        dict(
+            geometry=dict(geometry=WIDE),
+            t=dict(t=np.array([1, 3])),
+            x=dict(x=np.array([0, 2])),
+            y=dict(y=np.array([2, 2])),
+            p=dict(p=np.array([1, 1])),
+        ),
+    ),
+    "stack": (
+        BinarySliceStack,
+        lambda: dict(geometry=G44, slices=np.ones((8, 4, 4), dtype=bool), window_start=0),
+        dict(
+            geometry=dict(geometry=WIDE, slices=np.ones((8, 4, 5), dtype=bool)),
+            slices=dict(slices=np.zeros((8, 4, 4), dtype=bool)),
+            window_start=dict(window_start=20_000),
+        ),
+    ),
+    "frame": (
+        EncodedFrame,
+        lambda: dict(geometry=G44, n_bits=8, codes=np.full((4, 4), 7, dtype=np.uint8), window_start=0),
+        dict(
+            geometry=dict(geometry=WIDE, codes=np.full((4, 5), 7, dtype=np.uint8)),
+            n_bits=dict(n_bits=9),
+            codes=dict(codes=np.full((4, 4), 6, dtype=np.uint8)),
+            window_start=dict(window_start=20_000),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", EQUALITY_CASES)
+def test_equality_covers_every_field(kind):
+    cls, values, changes = EQUALITY_CASES[kind]
+    assert set(changes) == {field.name for field in dataclasses.fields(cls)}
+    a = cls(**values())
+    assert a == cls(**values()) and not a != cls(**values())
+    for name, change in changes.items():
+        b = cls(**{**values(), **change})
+        assert a != b and b != a, name
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 class TestBinarySliceStack:

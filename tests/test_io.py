@@ -289,6 +289,28 @@ class TestCsvWrite:
         assert peak < len(text) / 2  # the text of 16 of the 32 blocks
 
 
+class TestEventFormats:
+    """Formats are given as members or their values; anything else is rejected."""
+
+    def test_value_selects_its_format(self, tmp_path):
+        f = tmp_path / "ev.bin"
+        write_events(EventStream.from_events(G, [(0, 1, 2, 1)]), f, "csv")
+        assert f.read_bytes() == b"t_us,x,y,p\n0,1,2,1\n"
+        assert len(read_events(f, "csv", geometry=G)) == 1
+
+    def test_unknown_format_written_nowhere(self, tmp_path):
+        f = tmp_path / "ev.csv"
+        with pytest.raises(ValueError, match="EventFileFormat"):
+            write_events(EventStream.from_events(G, [(0, 1, 2, 1)]), f, None)
+        assert not f.exists()
+
+    def test_unknown_format_not_read(self, tmp_path):
+        f = tmp_path / "ev.bin"
+        write_events(EventStream.from_events(G, [(0, 1, 2, 1)]), f, EventFileFormat.BINARY_V1)
+        with pytest.raises(ValueError, match="EventFileFormat"):
+            read_events(f, None)
+
+
 class TestBinaryRead:
     def test_empty_file_is_header_only(self, tmp_path):
         f = tmp_path / "ev.bin"
@@ -414,6 +436,14 @@ class TestBinaryWrite:
         back = read_events(f, EventFileFormat.BINARY_V1)
         assert back == stream
         assert back.geometry == geometry
+
+    @pytest.mark.parametrize("w,h", [(65536, 256), (256, 65536)], ids=["x", "y"])
+    def test_coordinates_at_u16_max_round_trip(self, tmp_path, w, h):
+        geometry = SensorGeometry(w, h)
+        stream = EventStream.from_events(geometry, [(0, w - 1, h - 1, 1)])
+        f = tmp_path / "ev.bin"
+        write_events(stream, f, EventFileFormat.BINARY_V1)
+        assert read_events(f, EventFileFormat.BINARY_V1) == stream
 
     @pytest.mark.parametrize("n_events", [0, 1, 9, 10])
     def test_records_written_a_block_at_a_time(self, monkeypatch, tmp_path, n_events):

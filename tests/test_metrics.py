@@ -194,6 +194,11 @@ class TestRobustnessCurve:
                                    noise_levels=[0.02], n_seeds=3)
         assert spiking[0].l1_mean < plain[0].l1_mean
 
+    def test_level_one_fires_every_pixel(self):
+        pts = robustness_curve(small_scene(), EncoderConfig(slicing=SLICING),
+                               noise_levels=[1.0], n_seeds=1)
+        assert pts[0].l1_mean > 0.0
+
     def test_single_seed_has_zero_std(self):
         pts = robustness_curve(small_scene(), EncoderConfig(slicing=SLICING),
                                noise_levels=[0.02], n_seeds=1)

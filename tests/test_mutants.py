@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from mutants import EQUIVALENT, MUTANTS, RETIRED
-from mutation_survey import SRC, branch_mutants, statement_mutants
+from mutation_survey import SRC, branch_mutants, comparison_mutants, statement_mutants
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,7 +26,8 @@ def test_names_are_unique_and_not_retired():
 
 def test_survey_entries_name_mutants_the_survey_still_makes():
     # An entry whose code is gone skips nothing: it moves to RETIRED.
-    made = {m.name for path in SRC.glob("*.py") for m in branch_mutants(path.name) + statement_mutants(path.name)}
+    modes = (branch_mutants, statement_mutants, comparison_mutants)
+    made = {m.name for path in SRC.glob("*.py") for mode in modes for m in mode(path.name)}
     survey = {name for name in EQUIVALENT if re.match(r"\w+\.py[: ]", name)}
     assert survey
     assert survey - made == set()

@@ -29,7 +29,7 @@ class TestNeuronConfig:
         assert cfg.beta == 0.5
 
     def test_tau_must_exceed_one_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau_m must exceed 1 timestep"):
             NeuronConfig(variant=NeuronVariant.PLIF, tau_m=1.0)
 
     def test_zero_tau_is_a_value_error(self):
@@ -263,6 +263,19 @@ class TestCandidateSet:
         assert np.array_equal(frame, dense.step(StepInput.zeros(self.BIG)))
         assert sparse.fired.tolist() == dense.fired.tolist() == [self.FLAT]
 
+    def test_membrane_written_at_threshold_fires_as_dense(self):
+        # beta = 1 keeps a membrane written at exactly v_th there, and a
+        # dense step fires it: v >= v_th, not v > v_th.
+        geometry = SensorGeometry(64, 64)
+        cfg = NeuronConfig(beta=1.0)
+        sparse, dense = NeuronGrid(geometry, cfg), NeuronGrid(geometry, cfg)
+        sparse.v[10, 10] = dense.v[10, 10] = cfg.v_th
+        frame = sparse.step(one_event_input(geometry, cfg, 0, 0))
+        values = np.zeros(geometry.shape)
+        values[0, 0] = 1.0
+        assert np.array_equal(frame, dense.step(StepInput(values, 1)))
+        assert sparse.fired.tolist() == dense.fired.tolist() == [10 * 64 + 10]
+
     @pytest.mark.parametrize("idle", [0, 1])
     @pytest.mark.parametrize("variant", list(NeuronVariant))
     @pytest.mark.parametrize("geometry", [BIG, LAZY_GEOMETRY], ids=["sparse", "lazy"])
@@ -459,6 +472,19 @@ class TestLazyLeak:
         for _ in range(1100):
             grid.decay_only(2109)
         assert grid.v[0, 0] == 0.0
+
+    def test_largest_membrane_idles_to_zero_within_the_gap_cap(self):
+        # 2^1023 halves to 2^-1074 in 2097 steps and to zero in one more.
+        grid = NeuronGrid(LAZY_GEOMETRY, NeuronConfig(beta=0.5))
+        grid.v[0, 0] = chain = 2.0**1023
+        grid.decay_only(2100)
+        for _ in range(2100):
+            chain *= 0.5
+        assert grid.v[0, 0] == chain == 0.0
+
+    def test_clock_never_passes_int32(self):
+        # The clock restarts at _CLOCK_LIMIT and moves at most _GAP_CAP at once.
+        assert neurons._CLOCK_LIMIT + neurons._GAP_CAP <= np.iinfo(np.int32).max
 
 
 class TestSpikeFrame:

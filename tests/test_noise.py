@@ -543,6 +543,13 @@ class TestMergeNoiseRecording:
         assert merged.t.tolist() == [0, 0, 30, 30, 60, 60, 90, 90, 100]
         assert merged.x.tolist() == [0, 1, 2, 1, 2, 1, 2, 1, 3]
 
+    def test_copies_end_at_the_signals_last_event(self):
+        # Events landing exactly on the signal's last timestamp are kept.
+        signal = EventStream.from_events(G, [(0, 0, 0, 1), (90, 3, 3, 1)])
+        noise = EventStream.from_events(G, [(10, 1, 1, 1), (40, 2, 2, 1)])
+        merged = merge_noise_recording(signal, noise)
+        assert merged.t.tolist() == [0, 0, 30, 30, 60, 60, 90, 90, 90]
+
     def test_single_timestamp_recording_laid_over_once(self):
         signal = EventStream.from_events(G, [(1_000, 0, 0, 1), (21_000, 0, 3, 1)])
         noise = EventStream.from_events(G, [(500, 1, 1, 1), (500, 2, 2, -1)])
