@@ -541,15 +541,33 @@ MUTANTS = [
             ENCODER + "::TestEncoderConfig::test_plain_mode_encodes_as_one_step_per_slice",
         ),
     ),
-    # Equality: one helper compares every field of frames, streams and slice stacks.
+    # Equality: one helper compares every field of frames, streams and slice
+    # stacks; each type's row mutates the same helper line and names that
+    # type's test.
     Mutant(
-        "equality: frames, streams and slice stacks compared field by field with any object",
+        "equality: a frame compared field by field with any object",
         "events.py",
         "    if not isinstance(other, type(self)):\n",
         "    if False:\n",
         (
             ENCODER + "::TestEncodedFrame::test_unequal_to_other_types",
+        ),
+    ),
+    Mutant(
+        "equality: a stream compared field by field with any object",
+        "events.py",
+        "    if not isinstance(other, type(self)):\n",
+        "    if False:\n",
+        (
             EVENTS + "::TestEventStream::test_unequal_to_other_types",
+        ),
+    ),
+    Mutant(
+        "equality: a slice stack compared field by field with any object",
+        "events.py",
+        "    if not isinstance(other, type(self)):\n",
+        "    if False:\n",
+        (
             EVENTS + "::TestBinarySliceStack::test_unequal_to_other_types",
         ),
     ),
