@@ -20,17 +20,17 @@ All parse errors carry the offending byte or line offset in the message.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from io import BytesIO
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import EncodedFrame, code_dtype
-from .events import EventStream, SensorGeometry, event_faults
+from .events import INT64_MAX, EventStream, SensorGeometry, event_faults
 
 BINARY_MAGIC = b"EVS1"
 BINARY_HEADER_LEN = 12
@@ -49,8 +49,8 @@ _IO_BLOCK = 1 << 16
 # What counts as a blank CSV line: ASCII whitespace only, as bytes.strip().
 _ASCII_WHITESPACE = " \t\r\x0b\x0c"
 _U16_MAX = np.iinfo(np.uint16).max
-# The bytes of a CSV body that numpy's C parser reads (see _parse_clean_csv).
-_CSV_CLEAN_BYTES = b"0123456789,-\n"
+# The bytes of a CSV field that numpy's C parser reads (see _parse_clean_csv).
+_CSV_FIELD_BYTES = b"0123456789-"
 
 # One PGM header token: skip whitespace and ``#`` comments, then take the
 # non-whitespace run (empty at the end of the data).
@@ -127,13 +127,13 @@ def _check_events(path: Path, geometry: SensorGeometry, t, x, y, p, locate, unit
 
     ``locate(k)`` names where event k sits in the file ("byte 25", "line
     3") and ``unit`` what one is called there. An event with several
-    faults is reported by the first of :func:`event_faults`' checks.
+    faults is reported by the first of :func:`event_faults`' checks, whose
+    per-event masks are built only once :func:`_any_fault` finds one.
     """
-    faults = event_faults(geometry, t, x, y, p)
-    bad = np.logical_or.reduce(list(faults.values()))
-    if not bad.any():
+    if not _any_fault(geometry, t, x, y, p):
         return
-    k = int(np.argmax(bad))
+    faults = event_faults(geometry, t, x, y, p)
+    k = int(np.argmax(np.logical_or.reduce(list(faults.values()))))
     kind = next(name for name, mask in faults.items() if mask[k])
     if kind == "polarity":
         reason = f"polarity must be -1 or 1, got {int(p[k])}"
@@ -146,6 +146,27 @@ def _check_events(path: Path, geometry: SensorGeometry, t, x, y, p, locate, unit
     else:
         reason = f"timestamp {int(t[k])} is earlier than the previous {unit}'s {int(t[k - 1])}"
     raise EventFileError(f"{path}: {locate(k)}: {reason}")
+
+
+def _any_fault(geometry: SensorGeometry, t, x, y, p) -> bool:
+    """Whether :func:`event_faults` flags some event, with one reduction per column.
+
+    Viewed as unsigned, a negative coordinate reads above every bound; in
+    time order the first timestamp is the smallest and the last the
+    largest. Object columns hold a value beyond int64, always a fault.
+    """
+    if t.dtype == object:
+        return True
+    if not len(t):
+        return False
+    return bool(
+        (np.abs(p) != 1).any()
+        or x.view(f"u{x.itemsize}").max() >= geometry.width
+        or y.view(f"u{y.itemsize}").max() >= geometry.height
+        or t[0] < 0
+        or t[-1] > INT64_MAX
+        or (t[1:] < t[:-1]).any()
+    )
 
 
 def _read_csv(path: Path, geometry: SensorGeometry) -> EventStream:
@@ -163,22 +184,28 @@ def _read_csv(path: Path, geometry: SensorGeometry) -> EventStream:
 def _parse_clean_csv(body: bytes) -> np.ndarray | None:
     """The (events, 4) int64 table of a clean CSV body, or None.
 
-    A body is clean when it holds only the bytes of :data:`_CSV_CLEAN_BYTES`,
-    has no blank line and ends in LF: then event k sits on line k + 2, and
-    numpy's C parser accepts a field exactly when ``int()`` does and the
-    value fits int64. Everything else (None) goes to
+    A body is clean when every line is four fields of only the bytes of
+    :data:`_CSV_FIELD_BYTES` and ends in LF (so no line is blank, and event
+    k sits on line k + 2). numpy's C parser then reads a field exactly as
+    ``int()`` does, or raises ValueError, except that it reads a lone
+    ``-`` (and ``-0``) as 0 and saturates values beyond int64 to
+    INT64_MAX; a body where some ``-`` gives no negative value, or holding
+    INT64_MAX, is not taken. Everything else (None) goes to
     :func:`_read_csv_lines`, which gives every message and line number.
     """
-    if not body.endswith(b"\n") or body.startswith(b"\n") or b"\n\n" in body:
+    separators = body.translate(None, _CSV_FIELD_BYTES)
+    lines = len(separators) // 4
+    if separators != b",,,\n" * lines:
         return None
-    if body.translate(None, _CSV_CLEAN_BYTES):
-        return None
+    # Counted before the parse: a mask made after it raised hd-sparse peak RSS.
+    minus = np.count_nonzero(np.frombuffer(body, dtype=np.uint8) == ord("-"))
     try:
-        table = np.loadtxt(BytesIO(body), delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):
+        values = np.fromstring(body.replace(b"\n", b","), dtype=np.int64, sep=",")
+    except ValueError:
         return None
-    # loadtxt takes any uniform column count.
-    return table if table.shape[1] == 4 else None
+    if values.size != 4 * lines or values.max(initial=0) == INT64_MAX:
+        return None
+    return values.reshape(lines, 4) if np.count_nonzero(values < 0) == minus else None
 
 
 def _read_csv_lines(path: Path, geometry: SensorGeometry, body: bytes) -> EventStream:
@@ -235,11 +262,14 @@ def _read_binary(path: Path) -> EventStream:
             f"({leftover} of {BINARY_RECORD_LEN} bytes)"
         )
     records = np.frombuffer(data, dtype=_FILE_RECORD_DTYPE, offset=BINARY_HEADER_LEN)
-    t, x, y, p = (records[name] for name in ("t", "x", "y", "p"))
+    stream = EventStream(geometry, *(records[name] for name in "txyp"))
+    del data, records  # so that the check's temporaries stay below the cast's peak
+    # The int64 cast wraps a timestamp past 2^63 - 1; the uint64 view reads it back.
+    t, x, y, p = stream.t.view(np.uint64), stream.x, stream.y, stream.p
     _check_events(
         path, geometry, t, x, y, p, lambda k: f"byte {BINARY_HEADER_LEN + k * BINARY_RECORD_LEN}", "record"
     )
-    return EventStream(geometry, t, x, y, p)
+    return stream
 
 
 def check_pgm_bits(n_bits: int) -> None:
@@ -261,7 +291,16 @@ def write_frame(frame: EncodedFrame, path: str | Path) -> None:
     g = frame.geometry
     header = f"P5\n{g.width} {g.height}\n{maxval}\n".encode("ascii")
     payload = np.ascontiguousarray(codes, dtype=np.uint8 if maxval <= 255 else ">u2")
-    Path(path).write_bytes(header + payload.data)
+    raster = memoryview(payload.reshape(-1).view(np.uint8))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        # One writev of both buffers, so the raster is not copied to join
+        # them; a short write resumes where it stopped.
+        done = 0
+        while done < len(header) + len(raster):
+            done += os.writev(fd, [header[done:], raster[max(done - len(header), 0) :]])
+    finally:
+        os.close(fd)
 
 
 def read_frame(path: str | Path) -> EncodedFrame:

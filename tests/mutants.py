@@ -136,22 +136,33 @@ MUTANTS = [
             NEURONS + "::TestLazyLeak::test_direct_writes_between_lazy_steps_match_the_dense_chain",
         ),
     ),
-    # CSV reader.
+    # CSV reader: the clean-body fast path and what it sends to the line loop.
     Mutant(
-        "CSV: drop the blank-line condition",
+        "CSV: drop the structural compare",
         "io.py",
-        ' or b"\\n\\n" in body:\n',
-        ":\n",
+        '    if separators != b",,,\\n" * lines:\n        return None\n',
+        "",
         (
             IO + "::TestCsvFastPath::test_matches_the_line_loop",
             IO + "::TestCsvFastPath::test_near_misses_take_the_line_loop",
         ),
     ),
     Mutant(
-        "CSV: drop the column-count condition",
+        "CSV: a lone - read as 0",
         "io.py",
-        "    return table if table.shape[1] == 4 else None\n",
-        "    return table\n",
+        "    return values.reshape(lines, 4) if np.count_nonzero(values < 0) == minus else None\n",
+        "    return values.reshape(lines, 4)\n",
+        (
+            IO + "::TestCsvFastPath::test_matches_the_line_loop",
+            IO + "::TestCsvFastPath::test_near_misses_take_the_line_loop[1,-,3,4\\n]",
+            IO + "::TestCsvFastPath::test_near_misses_take_the_line_loop[0,0,0,-\\n]",
+        ),
+    ),
+    Mutant(
+        "CSV: values saturated to INT64_MAX kept",
+        "io.py",
+        "    if values.size != 4 * lines or values.max(initial=0) == INT64_MAX:\n",
+        "    if values.size != 4 * lines:\n",
         (
             IO + "::TestCsvFastPath::test_matches_the_line_loop",
             IO + "::TestCsvFastPath::test_near_misses_take_the_line_loop",
@@ -304,6 +315,53 @@ MUTANTS = [
         "        block = stream[0:_IO_BLOCK]\n        active[",
         (
             IO + "::TestStreamInfo::test_active_pixels_counted_across_blocks",
+        ),
+    ),
+    # Event checks: one reduction per column before any per-event mask.
+    Mutant(
+        "fault check: negative coordinates pass",
+        "io.py",
+        '        or x.view(f"u{x.itemsize}").max() >= geometry.width\n',
+        "        or x.max() >= geometry.width\n",
+        (
+            IO + "::TestCsvRead::test_one_fault_among_valid_lines_is_reported",
+        ),
+    ),
+    Mutant(
+        "fault check: the last timestamp not compared with 2^63 - 1",
+        "io.py",
+        "        or t[-1] > INT64_MAX\n",
+        "",
+        (
+            IO + "::TestBinaryRead::test_last_timestamp_above_int64_rejected",
+        ),
+    ),
+    Mutant(
+        "binary read: the file's bytes held through the check",
+        "io.py",
+        "    del data, records  # so that the check's temporaries stay below the cast's peak\n",
+        "",
+        (
+            IO + "::TestBinaryRead::test_the_check_adds_nothing_to_the_peak",
+        ),
+    ),
+    # PGM frames written with one writev.
+    Mutant(
+        "frame write: a short write not resumed",
+        "io.py",
+        "        while done < len(header) + len(raster):\n",
+        "        if done < len(header) + len(raster):\n",
+        (
+            IO + "::TestFrameWrite::test_short_writes_are_resumed",
+        ),
+    ),
+    Mutant(
+        "frame write: the descriptor left open after a failed write",
+        "io.py",
+        "    finally:\n        os.close(fd)\n",
+        "    except OSError:\n        raise\n    os.close(fd)\n",
+        (
+            IO + "::TestFrameWrite::test_descriptor_closed_when_a_write_fails",
         ),
     ),
     # CSV writes a block of events at a time, through the binary-v1 loop.
@@ -951,6 +1009,14 @@ MUTANTS = [
 
 # Name -> why the mutant's code is gone.
 RETIRED: dict[str, str] = {
+    "CSV: drop the blank-line condition": (
+        "condition deleted: the structural compare of the CSV fast path rejects a blank line "
+        "(row 'CSV: drop the structural compare')"
+    ),
+    "CSV: drop the column-count condition": (
+        "condition deleted: the structural compare of the CSV fast path rejects any line "
+        "without exactly four fields (row 'CSV: drop the structural compare')"
+    ),
     "cli.py: `isinstance(exc.code, int)` forced True": (
         "branch deleted: argparse exits only with an integer status, 0 after --help and 2 on "
         "a usage error"

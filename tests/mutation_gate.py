@@ -71,15 +71,21 @@ def _run(mutant: Mutant) -> tuple[bool, str]:
         proc = run_pytest(copy, "-rA", *mutant.tests)
     if proc.returncode not in (0, 1):
         return False, f"pytest exited {proc.returncode}: {proc.stdout[-500:]}{proc.stderr[-500:]}"
-    # -rA reports one "OUTCOME node-id ..." line per test.
+    return verdict(mutant.tests, proc.stdout)
+
+
+def verdict(tests: tuple[str, ...], report: str) -> tuple[bool, str]:
+    """(killed, detail) from the ``-rA`` report of a mutant's tests."""
+    # One "OUTCOME node-id" line per test, " - message" after a failure. A
+    # parametrize id may hold spaces, so what follows the outcome is kept whole.
     outcomes = [
-        line.split(" ", 2)[:2]
-        for line in proc.stdout.splitlines()
+        line.partition(" ")[::2]
+        for line in report.splitlines()
         if line.startswith(("PASSED ", "FAILED ", "ERROR "))
     ]
     failed = {node for outcome, node in outcomes if outcome in ("FAILED", "ERROR")}
     passed = {node for outcome, node in outcomes if outcome == "PASSED"}
-    survivors = [test for test in mutant.tests if not _covers(test, failed)]
+    survivors = [test for test in tests if not _covers(test, failed)]
     unrun = [test for test in survivors if not _covers(test, passed)]
     if unrun:
         return False, f"not collected: {', '.join(unrun)}"
@@ -89,8 +95,8 @@ def _run(mutant: Mutant) -> tuple[bool, str]:
 
 
 def _covers(test: str, nodes: set[str]) -> bool:
-    """Whether ``nodes`` hold the test id itself or one of its parametrized cases."""
-    return any(node == test or node.startswith(test + "[") for node in nodes)
+    """Whether ``nodes`` report the test id itself or one of its parametrized cases."""
+    return any(node == test or node.startswith((test + " - ", test + "[")) for node in nodes)
 
 
 def main() -> int:

@@ -1,4 +1,6 @@
+import errno
 import itertools
+import os
 import struct
 import tempfile
 import tracemalloc
@@ -91,6 +93,22 @@ class TestCsvRead:
         f = tmp_path / "ev.csv"
         f.write_text("t_us,x,y,p\n0,4,0,1\n")
         with pytest.raises(EventFileError, match="line 2.*outside"):
+            read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            ("0,0,0,1\n5,-1,0,1\n9,0,0,1\n", "line 3: event \\(-1, 0\\) outside"),
+            ("0,0,0,1\n5,0,-1,1\n9,0,0,1\n", "line 3: event \\(0, -1\\) outside"),
+            ("0,0,0,1\n5,0,4,1\n9,0,0,1\n", "line 3: event \\(0, 4\\) outside"),
+            ("0,0,0,1\n5,0,0,-2\n9,0,0,1\n", "line 3: polarity must be -1 or 1, got -2"),
+            ("-5,0,0,1\n0,0,0,1\n9,0,0,1\n", "line 2: negative timestamp -5"),
+        ],
+    )
+    def test_one_fault_among_valid_lines_is_reported(self, tmp_path, body, reason):
+        f = tmp_path / "ev.csv"
+        f.write_text(f"t_us,x,y,p\n{body}")
+        with pytest.raises(EventFileError, match=reason):
             read_events(f, EventFileFormat.TEXT_CSV, geometry=G)
 
     def test_negative_timestamp(self, tmp_path):
@@ -203,6 +221,13 @@ class TestCsvFastPath:
     @example(b"\n0,0,0,2\n")
     @example(b"0,0,0,1\n\n0,9,0,1\n")
     @example(b"0,0,0\n")
+    @example(b"1,-,3,4\n")  # numpy reads a lone - as 0
+    @example(b"0,0,0,-\n")
+    @example(b"0,0,0\n1,1,1,1,1\n")  # eight values on two lines
+    @example(f"{-(2**63)},0,0,1\n".encode())  # read exactly
+    @example(f"{2**63 - 1},0,0,1\n".encode())  # what numpy saturates to
+    @example(f"{2**63},0,0,1\n".encode())
+    @example(f"{-(2**63) - 1},0,0,1\n".encode())  # saturates to +(2**63 - 1)
     def test_matches_the_line_loop(self, body):
         with tempfile.TemporaryDirectory() as d:
             f = Path(d) / "ev.csv"
@@ -236,6 +261,10 @@ class TestCsvFastPath:
             b"1--2,0,0,1\n",
             f"{2**63},0,0,1\n".encode(),
             f"{-(2**63) - 1},0,0,1\n".encode(),
+            b"1,-,3,4\n",
+            b"0,0,0,-\n",
+            b"0,0,0\n1,1,1,1,1\n",
+            f"{2**63 - 1},0,0,1\n".encode(),
         ],
     )
     def test_near_misses_take_the_line_loop(self, body):
@@ -398,6 +427,28 @@ class TestBinaryRead:
         with pytest.raises(EventFileError, match="byte 12.*2\\^63"):
             read_events(f, EventFileFormat.BINARY_V1)
 
+    def test_last_timestamp_above_int64_rejected(self, tmp_path):
+        records = [binary_record(t, 0, 0, 1) for t in (0, 5, 2**63)]
+        f = tmp_path / "ev.bin"
+        f.write_bytes(binary_header() + b"".join(records))
+        with pytest.raises(EventFileError, match=f"byte {12 + 2 * 13}: timestamp exceeds 2\\^63"):
+            read_events(f, EventFileFormat.BINARY_V1)
+
+    def test_the_check_adds_nothing_to_the_peak(self, tmp_path):
+        # The file's bytes beside the cast columns are the read's peak; the
+        # fault check runs after the bytes are freed.
+        n = 100_000
+        stream = random_stream(SensorGeometry(64, 48), n_events=n, duration=10**6, seed=4)
+        f = tmp_path / "ev.bin"
+        write_events(stream, f, EventFileFormat.BINARY_V1)
+        tracemalloc.start()
+        try:
+            assert read_events(f, EventFileFormat.BINARY_V1) == stream
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (BINARY_RECORD_LEN + 17) * n + n // 2
+
     def test_out_of_order_names_record_offset(self, tmp_path):
         f = tmp_path / "ev.bin"
         f.write_bytes(
@@ -522,6 +573,44 @@ class TestFrameWrite:
         frame = EncodedFrame(G, 8, np.full(G.shape, 256, dtype=dtype))
         with pytest.raises(FrameFormatError, match="maxval 255"):
             write_frame(frame, tmp_path / "frame.pgm")
+
+    @pytest.mark.parametrize("n_bits, payload", [(8, np.uint8), (12, ">u2")])
+    def test_short_writes_are_resumed(self, monkeypatch, tmp_path, n_bits, payload):
+        geometry = SensorGeometry(5, 3)
+        codes = (np.arange(15) * (2**n_bits - 1) // 14).astype(code_dtype(n_bits)).reshape(3, 5)
+        expected = f"P5\n5 3\n{2**n_bits - 1}\n".encode() + codes.astype(payload).tobytes()
+        write = os.write
+
+        def short_writev(fd, buffers):
+            data = b"".join(buffers)
+            assert data, "writev called with nothing left to write"
+            return write(fd, data[:7])
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        write_frame(EncodedFrame(geometry, n_bits, codes), tmp_path / "frame.pgm")
+        assert (tmp_path / "frame.pgm").read_bytes() == expected
+
+    def test_descriptor_closed_when_a_write_fails(self, monkeypatch, tmp_path):
+        opened, closed = [], []
+        open_, close = os.open, os.close
+
+        def recording_open(*args):
+            opened.append(open_(*args))
+            return opened[-1]
+
+        def recording_close(fd):
+            closed.append(fd)
+            close(fd)
+
+        def full_disk_writev(fd, buffers):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "close", recording_close)
+        monkeypatch.setattr(os, "writev", full_disk_writev)
+        with pytest.raises(OSError, match="No space"):
+            write_frame(EncodedFrame(G, 8, np.zeros(G.shape, dtype=np.uint8)), tmp_path / "frame.pgm")
+        assert len(opened) == 1 and closed == opened
 
 class TestFrameRead:
     @pytest.mark.parametrize("n_bits", [1, 2, 4, 8, 9, 12, 16])

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from mutants import EQUIVALENT, MUTANTS, RETIRED
+from mutation_gate import verdict
 from mutation_survey import SRC, branch_mutants, comparison_mutants, statement_mutants
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +50,12 @@ def test_old_text_occurs_once_and_tests_exist(mutant):
             if isinstance(node, (ast.ClassDef, ast.FunctionDef))
         }
         assert set(names) <= defined, test
+
+
+def test_gate_reads_ids_that_hold_spaces():
+    test = "tests/test_events.py::test_equality_covers_every_field"
+    report = f"FAILED {test}[slice stack] - AssertionError: assert False\nPASSED {test}[frame]\n"
+    assert verdict((f"{test}[slice stack]",), report) == (True, "1 tests failed")
+    assert verdict((test,), report) == (True, "1 tests failed")
+    assert verdict((f"{test}[frame]",), report) == (False, f"passed: {test}[frame]")
+    assert verdict((f"{test}[slice]",), report) == (False, f"not collected: {test}[slice]")
