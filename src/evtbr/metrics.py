@@ -54,6 +54,29 @@ def frame_distance(a: EncodedFrame, b: EncodedFrame) -> FrameDistance:
     return FrameDistance(l1_mean, hamming, changed)
 
 
+def _code_block(frames: list[EncodedFrame]) -> np.ndarray:
+    """The frames' codes as one ``(windows, pixels)`` block, a copy."""
+    return np.stack([f.codes.reshape(-1) for f in frames])
+
+
+def _trial_means(codes: np.ndarray, reference: np.ndarray, max_code: int) -> tuple[float, float, float]:
+    """Means over windows of :func:`frame_distance`'s fields, from two code blocks.
+
+    Each row of ``codes`` and ``reference`` holds one window's codes, and
+    ``max_code`` is their ``2**N - 1``. Each window's l1 sum, differing bits
+    and changed pixels are exact integers, so the three means equal
+    ``np.mean`` over the per-frame fields bit for bit. ``codes`` is
+    overwritten.
+    """
+    scratch = np.bitwise_xor(codes, reference)
+    changed = np.count_nonzero(scratch, axis=1)
+    hamming = np.bitwise_count(scratch, out=scratch).sum(axis=1, dtype=np.int64)
+    np.maximum(codes, reference, out=scratch)
+    diff = np.subtract(scratch, np.minimum(codes, reference, out=codes), out=scratch)
+    l1 = diff.sum(axis=1, dtype=np.int64) / (max_code * codes.shape[1])
+    return np.mean(l1), np.mean(hamming), np.mean(changed)
+
+
 @dataclass(frozen=True)
 class FilterStats:
     """Event-to-spike accounting for one spiking-encoder run."""
@@ -109,7 +132,8 @@ def robustness_curve(
     levels (:func:`inject_noise_levels`), and its noisy streams are encoded
     one level at a time, each dropped before the next is merged. Noisy and
     clean streams are encoded over the same window count, derived from the
-    scene duration, so frames pair up one-to-one.
+    scene duration, so frames pair up one-to-one, and each trial is scored
+    in one pass over its ``(windows, pixels)`` code block.
     """
     for p in noise_levels:
         if not 0.0 <= p <= 1.0:
@@ -121,20 +145,23 @@ def robustness_curve(
     if n_windows == 0:
         raise ValueError("scene duration yields no encoding windows")
     clean = generate(scene)
-    reference = encode_stream(clean, cfg, n_windows=n_windows)
+    reference = _code_block(encode_stream(clean, cfg, n_windows=n_windows))
+    max_code = (1 << cfg.slicing.bits_per_frame) - 1
     span = (0, scene.duration)
     dt = cfg.slicing.slice_duration
 
     trial_l1, trial_ham, trial_chg = np.empty((3, len(noise_levels), n_seeds))
     for i in range(n_seeds):
         cfgs = [NoiseConfig(probability=p, slice_duration=dt, rng_seed=base_seed + i) for p in noise_levels]
-        for j, noisy in enumerate(inject_noise_levels(clean, cfgs, span=span)):
-            frames = encode_stream(noisy, cfg, n_windows=n_windows)
-            dists = [frame_distance(f, r) for f, r in zip(frames, reference)]
-            trial_l1[j, i] = np.mean([d.l1_mean for d in dists])
-            trial_ham[j, i] = np.mean([d.hamming_bits for d in dists])
-            trial_chg[j, i] = np.mean([d.changed_pixels for d in dists])
-            del noisy, frames, dists  # before the next level is merged
+        levels = inject_noise_levels(clean, cfgs, span=span)
+        # Stepped by index and scored in one expression that binds nothing,
+        # so each level's stream, frames and codes are freed before the next
+        # level is merged; enumerate and zip reuse their result tuple, which
+        # would still hold the last stream during that merge.
+        for j in range(len(cfgs)):
+            trial_l1[j, i], trial_ham[j, i], trial_chg[j, i] = _trial_means(
+                _code_block(encode_stream(next(levels), cfg, n_windows=n_windows)), reference, max_code
+            )
     points = []
     for p, l1, ham, chg in zip(noise_levels, trial_l1, trial_ham, trial_chg):
         l1_std = float(np.std(l1, ddof=1)) if n_seeds > 1 else 0.0

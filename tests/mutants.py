@@ -26,6 +26,7 @@ SYNTH = "tests/test_synth.py"
 CLI = "tests/test_cli.py"
 EVENTS = "tests/test_events.py"
 CURVE = "tests/test_metrics.py::TestRobustnessCurve"
+TRIAL_MEANS = "tests/test_metrics.py::TestTrialMeans::test_equal_the_mean_of_per_frame_distances"
 REFERENCE = ENCODER + "::TestReferenceEncoder::test_encode_stream_matches_per_event_reference"
 ORACLE = NOISE + "::TestInjectionOracle"
 BLOCKS = NOISE + "::TestBlockMerge::test_matches_one_merge_of_the_signal_and_all_the_noise"
@@ -166,6 +167,17 @@ MUTANTS = [
         (
             IO + "::TestCsvFastPath::test_matches_the_line_loop",
             IO + "::TestCsvFastPath::test_near_misses_take_the_line_loop",
+        ),
+    ),
+    # Only drawn bodies put a huge value past the first line; the explicit
+    # examples are one line each.
+    Mutant(
+        "CSV: saturated values looked for on the first line only",
+        "io.py",
+        "values.max(initial=0) == INT64_MAX",
+        "values[:4].max(initial=0) == INT64_MAX",
+        (
+            IO + "::TestCsvFastPath::test_matches_the_line_loop",
         ),
     ),
     # Imports.
@@ -506,6 +518,69 @@ MUTANTS = [
         "if False else 0.0",
         (
             CURVE + "::test_std_is_the_sample_std_over_seeds",
+        ),
+    ),
+    # Level release and the one-pass scorer. The first row binds each level's
+    # stream to a local, which then holds it through the next level's merge.
+    Mutant(
+        "curve: a level's stream held while the next is merged",
+        "metrics.py",
+        "        for j in range(len(cfgs)):\n"
+        "            trial_l1[j, i], trial_ham[j, i], trial_chg[j, i] = _trial_means(\n"
+        "                _code_block(encode_stream(next(levels), cfg, n_windows=n_windows)), reference, max_code\n",
+        "        for j in range(len(cfgs)):\n"
+        "            noisy = next(levels)\n"
+        "            trial_l1[j, i], trial_ham[j, i], trial_chg[j, i] = _trial_means(\n"
+        "                _code_block(encode_stream(noisy, cfg, n_windows=n_windows)), reference, max_code\n",
+        (
+            CURVE + "::test_each_level_is_freed_before_the_next_is_merged",
+        ),
+    ),
+    Mutant(
+        "curve: levels stepped through enumerate again",
+        "metrics.py",
+        "        for j in range(len(cfgs)):\n"
+        "            trial_l1[j, i], trial_ham[j, i], trial_chg[j, i] = _trial_means(\n"
+        "                _code_block(encode_stream(next(levels), cfg, n_windows=n_windows)), reference, max_code\n"
+        "            )\n",
+        "        for j, noisy in enumerate(levels):\n"
+        "            trial_l1[j, i], trial_ham[j, i], trial_chg[j, i] = _trial_means(\n"
+        "                _code_block(encode_stream(noisy, cfg, n_windows=n_windows)), reference, max_code\n"
+        "            )\n"
+        "            del noisy\n",
+        (
+            CURVE + "::test_each_level_is_freed_before_the_next_is_merged",
+        ),
+    ),
+    Mutant(
+        "scorer: hamming taken of the difference",
+        "metrics.py",
+        "    hamming = np.bitwise_count(scratch, out=scratch)",
+        "    hamming = np.bitwise_count(np.maximum(codes, reference) - np.minimum(codes, reference))",
+        (
+            TRIAL_MEANS + "[8]",
+            TRIAL_MEANS + "[9]",
+            TRIAL_MEANS + "[16]",
+        ),
+    ),
+    Mutant(
+        "scorer: l1 scaled by the dtype's largest value",
+        "metrics.py",
+        "/ (max_code * codes.shape[1])",
+        "/ (np.iinfo(codes.dtype).max * codes.shape[1])",
+        (
+            TRIAL_MEANS + "[1]",
+            TRIAL_MEANS + "[9]",
+        ),
+    ),
+    Mutant(
+        "scorer: l1 summed in the code dtype",
+        "metrics.py",
+        "diff.sum(axis=1, dtype=np.int64)",
+        "diff.sum(axis=1, dtype=codes.dtype)",
+        (
+            TRIAL_MEANS + "[8]",
+            TRIAL_MEANS + "[16]",
         ),
     ),
     Mutant(
@@ -1040,6 +1115,11 @@ RETIRED: dict[str, str] = {
         "branch deleted: a slice without events makes size-0 draws, which take no generator "
         "state, and adds an empty part to the merge"
     ),
+    "metrics.py robustness_curve: `del noisy, frames, dists` deleted": (
+        "statement deleted: the curve binds no level's stream, frames or codes; row 'curve: a "
+        "level's stream held while the next is merged' plants the same fault, and the release "
+        "test kills it"
+    ),
 }
 
 # Name -> why the mutant changes no output; neither the gate nor
@@ -1066,10 +1146,6 @@ EQUIVALENT: dict[str, str] = {
     "neurons.py: `cfg.v_rest == 0.0` forced False": (
         "the general leak subtracts and adds v_rest = 0.0, which only turns -0.0 into +0.0; "
         "no spike, code or frame depends on the sign of a zero"
-    ),
-    "metrics.py robustness_curve: `del noisy, frames, dists` deleted": (
-        "the trial's stream, frames and distances are then freed when the next level "
-        "replaces them, after it is merged: only the peak memory changes"
     ),
     "neurons.py NeuronGrid.step: `self._exposed = False` deleted": (
         "every later sparse step then also scans all membranes for ones at or above v_th; "

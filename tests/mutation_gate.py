@@ -9,6 +9,9 @@ start must import the mutated copy too), replaces the mutant's old text,
 which must occur exactly once, and runs the mutant's tests on that copy in
 a pytest subprocess with a fixed hypothesis seed and no cache. A mutant is
 killed when every test it names fails. At most two mutants run at once.
+Each pytest child may write files of at most :data:`FILE_LIMIT` bytes (its
+``RLIMIT_FSIZE``; a larger write fails with EFBIG), so a mutant that writes
+without end fails instead of filling the disk.
 
 Exit status 0 when every mutant is killed, 1 when one survives, its old
 text is not found exactly once, or a named test is not collected.
@@ -16,7 +19,9 @@ text is not found exactly once, or a named test is not collected.
 
 from __future__ import annotations
 
+import functools
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,6 +35,8 @@ from mutants import EQUIVALENT, MUTANTS, RETIRED, Mutant
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench")
 WORKERS = 2
+# The whole suite passes with an 8 MiB limit.
+FILE_LIMIT = 64 << 20
 
 
 def run_mutant(mutant: Mutant) -> tuple[bool, str]:
@@ -49,6 +56,8 @@ def copy_repository(dest: Path) -> None:
 
 def run_pytest(copy: Path, *args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     """pytest on a copy, importing its ``src/``, with a fixed hypothesis seed and no cache."""
+    # A C function as preexec_fn: the child runs no bytecode between fork and exec.
+    limit = functools.partial(resource.setrlimit, resource.RLIMIT_FSIZE, (FILE_LIMIT, FILE_LIMIT))
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--hypothesis-seed=0", "-p", "no:cacheprovider", *args],
         cwd=copy,
@@ -56,6 +65,7 @@ def run_pytest(copy: Path, *args: str, timeout: float | None = None) -> subproce
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=limit,
     )
 
 

@@ -21,8 +21,10 @@ repository, made as ``mutation_gate.py`` makes one, and its module's test
 file runs on it with ``-x``. A mutant survives when that file passes. The
 copy must include ``perfbench/``: without it
 ``test_exports.py::test_perfbench_spans_find_every_traced_name`` fails on
-every mutant and no survivor shows. A run that passes the time limit
-counts as killed.
+every mutant and no survivor shows. Each module's test file first runs
+once unmutated (it must pass), and a mutant's run that takes more than
+:data:`TIMEOUT_FACTOR` times that long (at least :data:`MIN_TIMEOUT_S`)
+counts as killed, as does one whose writes pass the gate's file-size limit.
 
 Survivors are triaged by hand: a new test, whose mutant then joins
 ``mutants.MUTANTS``, or an entry in ``mutants.EQUIVALENT`` under the name
@@ -54,9 +56,10 @@ from mutants import EQUIVALENT
 from mutation_gate import ROOT, WORKERS, copy_repository, run_pytest
 
 SRC = ROOT / "src" / "evtbr"
-# A module test file runs in about 10 s at most; a mutant that makes one run far
-# longer (a noise span of days, say) is killed for it.
-TIMEOUT_S = 180
+# A mutant that makes its module's test file run far longer than unmutated (a
+# noise span of days, or a write loop that never ends) is killed for it.
+TIMEOUT_FACTOR = 5
+MIN_TIMEOUT_S = 30.0
 # Each ordering operator and its strict or non-strict partner.
 _FLIPPED = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 
@@ -157,7 +160,24 @@ def comparison_mutants(file: str) -> list[LineMutant]:
     return mutants
 
 
-def run(mutant: LineMutant) -> tuple[bool, str]:
+def module_tests(file: str) -> str:
+    """The test file of a module under ``src/evtbr``."""
+    return f"tests/test_{Path(file).stem}.py"
+
+
+def time_limit(file: str) -> float:
+    """A mutant's time limit in ``file``, from one unmutated run of its test file."""
+    with tempfile.TemporaryDirectory(prefix="evtbr-survey-") as tmp:
+        copy_repository(Path(tmp))
+        start = time.perf_counter()
+        proc = run_pytest(Path(tmp), "-x", module_tests(file))
+        took = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{module_tests(file)} fails unmutated: {proc.stdout[-500:]}")
+    return max(MIN_TIMEOUT_S, TIMEOUT_FACTOR * took)
+
+
+def run(mutant: LineMutant, timeout: float) -> tuple[bool, str]:
     """(killed, detail) of one mutant against its module's test file."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="evtbr-survey-") as tmp:
@@ -168,9 +188,9 @@ def run(mutant: LineMutant) -> tuple[bool, str]:
         lines[mutant.lineno - 1] = mutant.line + "\n"
         path.write_text("".join(lines))
         try:
-            proc = run_pytest(copy, "-x", f"tests/test_{Path(mutant.file).stem}.py", timeout=TIMEOUT_S)
+            proc = run_pytest(copy, "-x", module_tests(mutant.file), timeout=timeout)
         except subprocess.TimeoutExpired:
-            return True, f"timed out after {TIMEOUT_S} s"
+            return True, f"timed out after {timeout:.0f} s"
     return proc.returncode != 0, f"pytest exited {proc.returncode} ({time.perf_counter() - start:.1f} s)"
 
 
@@ -184,7 +204,9 @@ def main(args: list[str]) -> int:
     mutants = [m for m in generated if m.name not in EQUIVALENT]
     survivors = []
     with ThreadPoolExecutor(WORKERS) as pool:
-        for mutant, (killed, detail) in zip(mutants, pool.map(run, mutants)):
+        limits = dict(zip(files, pool.map(time_limit, files)))
+        results = pool.map(lambda m: run(m, limits[m.file]), mutants)
+        for mutant, (killed, detail) in zip(mutants, results):
             print(f"{'killed ' if killed else 'SURVIVED'} {mutant.name} (line {mutant.lineno}): {detail}", flush=True)
             if not killed:
                 survivors.append(mutant)

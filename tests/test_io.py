@@ -176,7 +176,7 @@ _HUGE_FIELDS = [str(v) for v in (2**63 - 1, 2**63, 2**64 + 3, -(2**63), -(2**63)
 
 @st.composite
 def csv_bodies(draw):
-    """CSV bodies: ordered rows of small values, with near misses mixed in."""
+    """CSV bodies: ordered rows of small values, with near misses or one huge value mixed in."""
     rows = draw(
         st.lists(
             st.tuples(
@@ -188,6 +188,13 @@ def csv_bodies(draw):
             max_size=8,
         )
     )
+    if rows and draw(st.booleans()):
+        # Events the reader takes, in a clean body, but for one value at or
+        # past int64's edge, which no earlier fault then hides.
+        times = itertools.accumulate(abs(dt) for dt, *_ in rows)
+        fields = [[t, x % G.width, y, p or 1] for t, (_, x, y, p) in zip(times, rows)]
+        fields[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 3))] = draw(st.sampled_from(_HUGE_FIELDS))
+        return "".join(",".join(map(str, line)) + "\n" for line in fields).encode("ascii")
     times = itertools.accumulate(dt for dt, *_ in rows)
     width = draw(st.sampled_from([4, 4, 3, 5]))
     lines = [",".join(map(str, [t, x, y, p, 0][:width])) for t, (_, x, y, p) in zip(times, rows)]

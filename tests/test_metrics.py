@@ -1,10 +1,14 @@
 import math
+import weakref
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evtbr import metrics, noise
-from evtbr.encoder import EncodedFrame, EncoderConfig, EncoderMode, encode_stream
+from evtbr.encoder import EncodedFrame, EncoderConfig, EncoderMode, code_dtype, encode_stream
 from evtbr.events import EventStream, SensorGeometry, SlicingConfig
 from evtbr.metrics import (
     CURVE_CSV_HEADER,
@@ -125,6 +129,29 @@ class TestFrameDistance:
             frame_distance(frame(np.zeros((4, 4)), 8), frame(np.zeros((4, 4)), 4))
 
 
+class TestTrialMeans:
+    @pytest.mark.parametrize("n_bits", [1, 8, 9, 16])
+    @given(data=st.data())
+    def test_equal_the_mean_of_per_frame_distances(self, n_bits, data):
+        # The curve's scorer against np.mean over frame_distance fields, bit
+        # for bit, in uint8 (N = 1, 8) and uint16 (N = 9, 16) codes.
+        dtype, max_code = code_dtype(n_bits), (1 << n_bits) - 1
+        assert dtype == (np.uint8 if n_bits <= 8 else np.uint16)
+        geometry = SensorGeometry(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)))
+        shape = (data.draw(st.integers(1, 7)), geometry.pixel_count)
+        codes = st.integers(0, max_code) | st.sampled_from([0, max_code])
+        noisy, clean = data.draw(hnp.arrays(dtype, (2, *shape), elements=codes))
+        same = data.draw(hnp.arrays(np.bool_, shape))
+        noisy[same] = clean[same]
+        frames = [EncodedFrame(geometry, n_bits, row.reshape(geometry.shape)) for row in noisy]
+        reference = [EncodedFrame(geometry, n_bits, row.reshape(geometry.shape)) for row in clean]
+        dists = [frame_distance(f, r) for f, r in zip(frames, reference)]
+        fields = ("l1_mean", "hamming_bits", "changed_pixels")
+        expected = [np.mean([getattr(d, name) for d in dists]) for name in fields]
+        means = metrics._trial_means(metrics._code_block(frames), clean.copy(), max_code)
+        assert [float(m).hex() for m in means] == [float(e).hex() for e in expected]
+
+
 class TestFilterStats:
     def test_plain_ratio(self):
         assert FilterStats(1000, 100).suppression_factor == 10.0
@@ -234,6 +261,25 @@ class TestRobustnessCurve:
             for p in levels
         ]
         assert encoded == expected
+
+    def test_each_level_is_freed_before_the_next_is_merged(self, monkeypatch):
+        # Nothing may hold a level's stream across the next merge: not a
+        # local, nor the reused result tuple of enumerate or zip.
+        held, streams = [], []
+        levels = metrics.inject_noise_levels
+
+        def watched(stream, cfgs, **kwargs):
+            merges = levels(stream, cfgs, **kwargs)
+            for _ in cfgs:
+                held.append(sum(ref() is not None for ref in streams))
+                box = [next(merges)]
+                streams.append(weakref.ref(box[0]))
+                yield box.pop()  # this frame keeps no reference
+
+        monkeypatch.setattr(metrics, "inject_noise_levels", watched)
+        robustness_curve(small_scene(), EncoderConfig(slicing=SLICING), noise_levels=[0.01, 0.05, 0.02],
+                         n_seeds=2)
+        assert held == [0] * 6
 
     def test_keys_noise_slices_once_per_seed(self, monkeypatch):
         seeds = []
